@@ -102,6 +102,7 @@ SystemConfig::fromConfig(const Config &config)
 void
 SystemConfig::validate() const
 {
+    machine.validate();
     if (timeScale <= 0) {
         fatal(msg() << "config: time_scale must be > 0 (got "
                     << timeScale

@@ -1,6 +1,7 @@
 #include "superscalar_cpu.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/check.hh"
 #include "sim/logging.hh"
@@ -8,98 +9,134 @@
 namespace softwatt
 {
 
+namespace
+{
+
+void
+setBit(std::uint64_t *words, std::size_t bit)
+{
+    words[bit / 64] |= std::uint64_t(1) << (bit % 64);
+}
+
+void
+clearBit(std::uint64_t *words, std::size_t bit)
+{
+    words[bit / 64] &= ~(std::uint64_t(1) << (bit % 64));
+}
+
+} // namespace
+
 SuperscalarCpu::SuperscalarCpu(const MachineParams &params,
                                CacheHierarchy &hierarchy, Tlb &tlb,
                                CounterSink &sink, KernelIface &kernel)
     : Cpu(params, hierarchy, tlb, sink, kernel)
 {
+    SW_CHECK(params.instWindowSize >= 1 &&
+                 params.instWindowSize <= MachineParams::maxInstWindow,
+             "SuperscalarCpu: cpu.inst_window outside the validated "
+             "range");
+    std::size_t slots = std::bit_ceil(std::size_t(params.instWindowSize));
+    robMask = slots - 1;
+    slotWords = (slots + 63) / 64;
+    rob.resize(slots);
+    readyBits.assign(slotWords, 0);
+    consumerBits.assign(slots * slotWords, 0);
+    issuedSlots.reserve(slots);
 }
 
 bool
 SuperscalarCpu::pipelineEmpty() const
 {
-    return rob.empty() && fetchQueue.empty();
-}
-
-SuperscalarCpu::Entry *
-SuperscalarCpu::entryBySeq(std::uint64_t seq)
-{
-    if (rob.empty() || seq < rob.front().seq ||
-        seq > rob.back().seq) {
-        return nullptr;
-    }
-    return &rob[seq - rob.front().seq];
+    return robSize() == 0 && fetchCount == 0;
 }
 
 bool
 SuperscalarCpu::depSatisfied(std::uint64_t dep)
 {
-    if (dep == 0)
-        return true;
-    Entry *producer = entryBySeq(dep);
-    return producer == nullptr ||
-           producer->state == EntryState::Completed;
+    if (dep < headSeq || dep >= nextSeq)
+        return true;  // none (0) or retired
+    return entryAt(dep).state == EntryState::Completed;
+}
+
+std::uint64_t
+SuperscalarCpu::readyWindow() const
+{
+    static_assert(issueScanLimit < 64, "candidates fit one word");
+    std::uint64_t n =
+        std::min<std::uint64_t>(issueScanLimit, robSize());
+    std::uint64_t window = 0;
+    for (std::uint64_t got = 0; got < n;) {
+        std::uint64_t slot = (headSeq + got) & robMask;
+        std::uint64_t bit = slot % 64;
+        std::uint64_t take =
+            std::min({n - got, 64 - bit, robMask + 1 - slot});
+        std::uint64_t chunk = (readyBits[slot / 64] >> bit) &
+                              ((std::uint64_t(1) << take) - 1);
+        window |= chunk << got;
+        got += take;
+    }
+    return window;
+}
+
+std::uint64_t
+SuperscalarCpu::referenceReadyWindow()
+{
+    std::uint64_t n =
+        std::min<std::uint64_t>(issueScanLimit, robSize());
+    std::uint64_t window = 0;
+    for (std::uint64_t pos = 0; pos < n; ++pos) {
+        const Entry &entry = entryAt(headSeq + pos);
+        if (entry.state == EntryState::Waiting &&
+            depSatisfied(entry.depA) && depSatisfied(entry.depB)) {
+            window |= std::uint64_t(1) << pos;
+        }
+    }
+    return window;
 }
 
 void
-SuperscalarCpu::rebuildProducers()
+SuperscalarCpu::resetWindow(std::uint64_t seq)
 {
-    regProducer.fill(0);
-    for (const Entry &entry : rob) {
-        if (entry.op.dst != noReg &&
-            entry.state != EntryState::Completed) {
-            regProducer[entry.op.dst] = entry.seq;
-        }
+    for (std::uint64_t s = headSeq; s != nextSeq; ++s) {
+        std::size_t slot = s & robMask;
+        std::fill_n(&consumerBits[slot * slotWords], slotWords, 0);
     }
+    std::fill(readyBits.begin(), readyBits.end(), 0);
+    issuedSlots.clear();
+    nextCompleteAt = noCompletion;
+    headSeq = nextSeq = seq;
+    fetchHead = fetchCount = 0;
+    regProducer.fill(0);
+    fetchBlockedOnBranch = 0;
+    blockedSyscallSeq = 0;
 }
 
 std::vector<MicroOp>
-SuperscalarCpu::squashFrom(std::uint64_t from_seq)
+SuperscalarCpu::squashWindow()
 {
     std::vector<MicroOp> replay;
-    while (!rob.empty() && rob.back().seq >= from_seq) {
-        replay.push_back(rob.back().op);
-        rob.pop_back();
-    }
-    std::reverse(replay.begin(), replay.end());
-    for (const FetchedOp &fetched : fetchQueue)
-        replay.push_back(fetched.op);
-    fetchQueue.clear();
-
-    if (fetchBlockedOnBranch >= from_seq)
-        fetchBlockedOnBranch = 0;
-    if (blockedSyscallSeq >= from_seq)
-        blockedSyscallSeq = 0;
-    // Reuse the squashed sequence numbers so entryBySeq's contiguous
-    // index arithmetic stays valid (replays are re-dispatched).
-    nextSeq = from_seq;
-    rebuildProducers();
+    replay.reserve(robSize() + fetchCount);
+    for (std::uint64_t s = headSeq; s != nextSeq; ++s)
+        replay.push_back(entryAt(s).op);
+    for (std::uint32_t i = 0; i < fetchCount; ++i)
+        replay.push_back(
+            fetchQueue[(fetchHead + i) % fetchQueueCap].op);
+    resetWindow(headSeq);
     return replay;
 }
 
 std::vector<MicroOp>
 SuperscalarCpu::squashAllCollect()
 {
-    std::vector<MicroOp> replay =
-        rob.empty() ? std::vector<MicroOp>{}
-                    : squashFrom(rob.front().seq);
-    if (rob.empty() && replay.empty() && !fetchQueue.empty()) {
-        for (const FetchedOp &f : fetchQueue)
-            replay.push_back(f.op);
-        fetchQueue.clear();
-    }
-    squashAll();
+    std::vector<MicroOp> replay = squashWindow();
+    fetchBusyUntil = 0;
     return replay;
 }
 
 void
 SuperscalarCpu::squashAll()
 {
-    rob.clear();
-    fetchQueue.clear();
-    regProducer.fill(0);
-    fetchBlockedOnBranch = 0;
-    blockedSyscallSeq = 0;
+    resetWindow(nextSeq);
     fetchBusyUntil = 0;
 }
 
@@ -125,23 +162,22 @@ SuperscalarCpu::loadState(ChunkReader &in)
     nextSeq = in.u64();
     now = in.u64();
     mispredStalls = in.u64();
+    headSeq = nextSeq;  // an empty ring anchored at the restored seq
 }
 
 void
 SuperscalarCpu::doCommit()
 {
     int committed = 0;
-    while (committed < params.commitWidth && !rob.empty() &&
-           rob.front().state == EntryState::Completed) {
-        Entry entry = rob.front();
-        rob.pop_front();
+    while (committed < params.commitWidth && robSize() > 0 &&
+           entryAt(headSeq).state == EntryState::Completed) {
+        const Entry &entry = entryAt(headSeq++);
         ++committed;
         ++totalCommitted;
         sink.add(entry.op.mode, CounterId::CommittedInsts, 1,
                  entry.op.frameTag);
-        if (regProducer[entry.op.dst != noReg ? entry.op.dst : 0] ==
-                entry.seq &&
-            entry.op.dst != noReg) {
+        if (entry.op.dst != noReg &&
+            regProducer[entry.op.dst] == entry.seq) {
             regProducer[entry.op.dst] = 0;
         }
         if (entry.op.cls == InstClass::Syscall) {
@@ -158,42 +194,70 @@ SuperscalarCpu::doCommit()
 }
 
 void
-SuperscalarCpu::doWriteback()
+SuperscalarCpu::complete(std::uint32_t slot)
 {
-    for (Entry &entry : rob) {
-        if (entry.state == EntryState::Issued &&
-            entry.completeAt <= now) {
-            entry.state = EntryState::Completed;
-            if (entry.op.dst != noReg) {
-                sink.add(entry.op.mode, CounterId::RegFileWrite, 1,
-                         entry.op.frameTag);
-                sink.add(entry.op.mode, CounterId::ResultBusOp, 1,
-                         entry.op.frameTag);
-            }
-            if (entry.mispredicted &&
-                fetchBlockedOnBranch == entry.seq) {
-                fetchBlockedOnBranch = 0;  // redirect resolved
-            }
+    Entry &entry = rob[slot];
+    entry.state = EntryState::Completed;
+    if (entry.op.dst != noReg) {
+        sink.add(entry.op.mode, CounterId::RegFileWrite, 1,
+                 entry.op.frameTag);
+        sink.add(entry.op.mode, CounterId::ResultBusOp, 1,
+                 entry.op.frameTag);
+    }
+    if (entry.mispredicted && fetchBlockedOnBranch == entry.seq)
+        fetchBlockedOnBranch = 0;  // redirect resolved
+
+    std::uint64_t *consumers = &consumerBits[slot * slotWords];
+    for (std::size_t w = 0; w < slotWords; ++w) {
+        std::uint64_t bits = consumers[w];
+        consumers[w] = 0;
+        while (bits != 0) {
+            std::size_t c = w * 64 + std::size_t(std::countr_zero(bits));
+            bits &= bits - 1;
+            if (--rob[c].pending == 0)
+                setBit(readyBits.data(), c);
         }
     }
 }
 
-bool
+void
+SuperscalarCpu::doWriteback()
+{
+    if (now < nextCompleteAt)
+        return;
+    std::uint64_t earliest = noCompletion;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < issuedSlots.size(); ++i) {
+        std::uint32_t slot = issuedSlots[i];
+        std::uint64_t at = rob[slot].completeAt;
+        if (at <= now) {
+            complete(slot);
+        } else {
+            issuedSlots[kept++] = slot;
+            earliest = std::min(earliest, at);
+        }
+    }
+    issuedSlots.resize(kept);
+    nextCompleteAt = earliest;
+}
+
+void
 SuperscalarCpu::doIssue()
 {
+    std::uint64_t candidates = readyWindow();
+    SW_ASSERT(candidates == referenceReadyWindow(),
+              "SuperscalarCpu: ready bits disagree with entry states");
+
     int issued = 0;
     int int_units = params.intAlus;
     int fp_units = params.fpAlus;
     int mem_ports = 2;
-    int scanned = 0;
 
-    for (Entry &entry : rob) {
-        if (issued >= params.issueWidth || ++scanned > issueScanLimit)
-            break;
-        if (entry.state != EntryState::Waiting)
-            continue;
-        if (!depSatisfied(entry.depA) || !depSatisfied(entry.depB))
-            continue;
+    while (candidates != 0 && issued < params.issueWidth) {
+        std::uint64_t seq = headSeq + std::countr_zero(candidates);
+        candidates &= candidates - 1;
+        std::uint32_t slot = std::uint32_t(seq & robMask);
+        Entry &entry = rob[slot];
 
         const MicroOp &op = entry.op;
         switch (op.cls) {
@@ -255,19 +319,20 @@ SuperscalarCpu::doIssue()
 
         entry.state = EntryState::Issued;
         entry.completeAt = now + latency;
+        clearBit(readyBits.data(), slot);
+        issuedSlots.push_back(slot);
+        nextCompleteAt = std::min(nextCompleteAt, entry.completeAt);
         ++issued;
     }
-    return false;
 }
 
 bool
 SuperscalarCpu::doDispatch()
 {
     int dispatched = 0;
-    while (dispatched < params.decodeWidth && !fetchQueue.empty() &&
-           int(rob.size()) < params.instWindowSize) {
-        FetchedOp fetched = fetchQueue.front();
-        fetchQueue.pop_front();
+    while (dispatched < params.decodeWidth && fetchCount > 0 &&
+           robSize() < std::uint64_t(params.instWindowSize)) {
+        FetchedOp &fetched = fetchQueue[fetchHead];
 
         // Software-managed TLB: probe at dispatch (the effective
         // address is available). A miss is a precise exception: the
@@ -279,36 +344,53 @@ SuperscalarCpu::doDispatch()
             fetched.tlbMissed = !dataTlbLookup(fetched.op);
         }
         if (fetched.tlbMissed) {
-            if (!rob.empty()) {
-                // Hold at dispatch while older work drains.
-                fetchQueue.push_front(fetched);
-                return false;
-            }
-            std::vector<MicroOp> replay;
-            replay.push_back(fetched.op);
-            for (const FetchedOp &f : fetchQueue)
-                replay.push_back(f.op);
-            fetchQueue.clear();
-            if (blockedSyscallSeq == ~std::uint64_t(0))
-                blockedSyscallSeq = 0;
-            kernel.dataTlbMiss(fetched.op.memAddr, fetched.op.asid,
-                               std::move(replay));
+            if (robSize() > 0)
+                return false;  // hold while older work drains
+            Addr vaddr = fetched.op.memAddr;
+            std::uint32_t asid = fetched.op.asid;
+            std::vector<MicroOp> replay = squashWindow();
+            kernel.dataTlbMiss(vaddr, asid, std::move(replay));
             return true;
         }
+        fetchHead = (fetchHead + 1) % fetchQueueCap;
+        --fetchCount;
 
-        Entry entry;
+        std::uint64_t seq = nextSeq++;
+        std::uint32_t slot = std::uint32_t(seq & robMask);
+        Entry &entry = rob[slot];
         entry.op = fetched.op;
-        entry.seq = nextSeq++;
+        entry.seq = seq;
+        entry.depA = entry.op.srcA != noReg ? regProducer[entry.op.srcA]
+                                            : 0;
+        entry.depB = entry.op.srcB != noReg ? regProducer[entry.op.srcB]
+                                            : 0;
+        entry.completeAt = 0;
+        entry.state = EntryState::Waiting;
         entry.mispredicted = fetched.mispredicted;
+        entry.pending = 0;
         if (fetched.mispredicted && fetchBlockedOnBranch == 0)
-            fetchBlockedOnBranch = entry.seq;
+            fetchBlockedOnBranch = seq;
+        if (entry.op.cls == InstClass::Syscall) {
+            // Fetch stops behind a syscall, so it is the only one in
+            // flight; commit unblocks fetch when it retires.
+            SW_ASSERT(blockedSyscallSeq == syscallUndispatched,
+                      "SuperscalarCpu: second syscall in flight");
+            blockedSyscallSeq = seq;
+        }
 
-        if (entry.op.srcA != noReg)
-            entry.depA = regProducer[entry.op.srcA];
-        if (entry.op.srcB != noReg)
-            entry.depB = regProducer[entry.op.srcB];
+        // Wait on each distinct producer that has not completed.
+        auto wait_on = [&](std::uint64_t producer) {
+            setBit(&consumerBits[(producer & robMask) * slotWords], slot);
+            ++entry.pending;
+        };
+        if (!depSatisfied(entry.depA))
+            wait_on(entry.depA);
+        if (entry.depB != entry.depA && !depSatisfied(entry.depB))
+            wait_on(entry.depB);
+        if (entry.pending == 0)
+            setBit(readyBits.data(), slot);
         if (entry.op.dst != noReg)
-            regProducer[entry.op.dst] = entry.seq;
+            regProducer[entry.op.dst] = seq;
 
         sink.add(entry.op.mode, CounterId::RenameOp, 1,
                  entry.op.frameTag);
@@ -318,8 +400,6 @@ SuperscalarCpu::doDispatch()
             sink.add(entry.op.mode, CounterId::LsqOp, 1,
                      entry.op.frameTag);  // allocate
         }
-
-        rob.push_back(entry);
         ++dispatched;
     }
     return false;
@@ -339,7 +419,7 @@ SuperscalarCpu::doFetch()
 
     int fetched = 0;
     while (fetched < params.fetchWidth &&
-           int(fetchQueue.size()) < fetchQueueCap) {
+           int(fetchCount) < fetchQueueCap) {
         MicroOp op;
         FetchOutcome outcome = kernel.fetchNext(op);
         if (outcome == FetchOutcome::End) {
@@ -353,8 +433,11 @@ SuperscalarCpu::doFetch()
         MemAccessOutcome fetch_mem =
             hierarchy.ifetch(op.pc, op.mode, op.frameTag);
 
-        FetchedOp entry;
-        entry.op = op;
+        FetchedOp &entry =
+            fetchQueue[(fetchHead + fetchCount) % fetchQueueCap];
+        entry = FetchedOp{op};
+        ++fetchCount;
+        ++fetched;
 
         bool stop = false;
         if (fetch_mem.latency > 1) {
@@ -375,14 +458,9 @@ SuperscalarCpu::doFetch()
 
         if (op.cls == InstClass::Syscall) {
             // Serialize: stop fetching until the syscall commits.
-            fetchQueue.push_back(entry);
-            ++fetched;
-            blockedSyscallSeq = ~std::uint64_t(0);  // fixed at dispatch
+            blockedSyscallSeq = syscallUndispatched;
             break;
         }
-
-        fetchQueue.push_back(entry);
-        ++fetched;
         if (stop)
             break;
     }
@@ -399,9 +477,9 @@ SuperscalarCpu::cycle()
     // belong to the kernel and to the active service invocation;
     // otherwise to the oldest instruction in flight.
     const MicroOp *oldest =
-        !rob.empty() ? &rob.front().op
-                     : (!fetchQueue.empty() ? &fetchQueue.front().op
-                                            : nullptr);
+        robSize() > 0 ? &entryAt(headSeq).op
+                      : (fetchCount > 0 ? &fetchQueue[fetchHead].op
+                                        : nullptr);
     std::uint32_t ptag = kernel.privilegedTag();
     if (ptag != 0 && oldest && oldest->mode != ExecMode::User &&
         oldest->mode != ExecMode::Idle) {
@@ -415,35 +493,14 @@ SuperscalarCpu::cycle()
     }
     sink.addCycle();
 
-    if (kernel.interruptPending() && blockedSyscallSeq == 0) {
-        std::vector<MicroOp> replay =
-            rob.empty() ? std::vector<MicroOp>{}
-                        : squashFrom(rob.front().seq);
-        if (rob.empty() && replay.empty() && !fetchQueue.empty()) {
-            for (const FetchedOp &f : fetchQueue)
-                replay.push_back(f.op);
-            fetchQueue.clear();
-        }
-        kernel.takeInterrupt(std::move(replay));
-    }
+    if (kernel.interruptPending() && blockedSyscallSeq == 0)
+        kernel.takeInterrupt(squashWindow());
 
     doCommit();
     doWriteback();
-    bool trapped = doIssue();
-    if (!trapped)
-        trapped = doDispatch();
-    if (!trapped)
+    doIssue();
+    if (!doDispatch())
         doFetch();
-
-    // Fix up the syscall-serialization seq now that dispatch ran.
-    if (blockedSyscallSeq == ~std::uint64_t(0)) {
-        for (const Entry &entry : rob) {
-            if (entry.op.cls == InstClass::Syscall)
-                blockedSyscallSeq = entry.seq;
-        }
-        // Still in the fetch queue: keep the sentinel; dispatch will
-        // run again next cycle.
-    }
 
     if (pipelineEmpty())
         kernel.onPipelineEmpty();

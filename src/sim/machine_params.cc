@@ -1,6 +1,7 @@
 #include "machine_params.hh"
 
 #include "config.hh"
+#include "logging.hh"
 
 namespace softwatt
 {
@@ -48,6 +49,37 @@ MachineParams::applyConfig(const Config &config)
     featureSizeUm = config.getDouble("tech.feature_um", featureSizeUm);
     vdd = config.getDouble("tech.vdd", vdd);
     freqMhz = config.getDouble("tech.mhz", freqMhz);
+}
+
+void
+MachineParams::validate() const
+{
+    struct Shape
+    {
+        const char *key;
+        int value;
+    };
+    const Shape shapes[] = {
+        {"cpu.inst_window", instWindowSize},
+        {"cpu.fetch_width", fetchWidth},
+        {"cpu.decode_width", decodeWidth},
+        {"cpu.issue_width", issueWidth},
+        {"cpu.commit_width", commitWidth},
+        {"cpu.int_alus", intAlus},
+        {"cpu.fp_alus", fpAlus},
+    };
+    for (const Shape &shape : shapes) {
+        if (shape.value < 1) {
+            fatal(msg() << "config: " << shape.key << " must be >= 1 "
+                        << "(got " << shape.value << "); the pipeline "
+                        << "cannot make progress without it");
+        }
+    }
+    if (instWindowSize > maxInstWindow) {
+        fatal(msg() << "config: cpu.inst_window must be <= "
+                    << maxInstWindow << " (got " << instWindowSize
+                    << "); the ROB ring is allocated from it");
+    }
 }
 
 } // namespace softwatt

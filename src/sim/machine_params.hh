@@ -67,8 +67,22 @@ struct MachineParams
         return std::uint64_t(freqMhz * 1.0e6);
     }
 
+    /**
+     * Largest accepted cpu.inst_window. The superscalar core allocates
+     * its ROB ring and one consumer mask per slot from the window
+     * size, so the mask memory grows with its square.
+     */
+    static constexpr int maxInstWindow = 1024;
+
     /** Override fields from a Config ("icache.size_kb", ...). */
     void applyConfig(const Config &config);
+
+    /**
+     * fatal() naming the key when the core shape cannot run: every
+     * cpu.* width, unit count and cpu.inst_window must be >= 1, and
+     * cpu.inst_window <= maxInstWindow.
+     */
+    void validate() const;
 };
 
 } // namespace softwatt

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/system.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
 
@@ -140,6 +141,46 @@ TEST_F(ConfigErrorTest, MalformedDoubleIsFatal)
     Config c;
     c.set("d", std::string("1.2.3"));
     EXPECT_THROW((void)c.getDouble("d", 0), SimError);
+}
+
+TEST_F(ConfigErrorTest, CoreShapesThePipelineCannotRunAreFatal)
+{
+    struct Case
+    {
+        const char *assignment;
+        const char *key;
+    };
+    const Case rejected[] = {
+        {"cpu.inst_window=0", "cpu.inst_window"},
+        {"cpu.inst_window=-4", "cpu.inst_window"},
+        {"cpu.inst_window=1025", "cpu.inst_window"},
+        {"cpu.fetch_width=0", "cpu.fetch_width"},
+        {"cpu.decode_width=-1", "cpu.decode_width"},
+        {"cpu.issue_width=0", "cpu.issue_width"},
+        {"cpu.commit_width=-1", "cpu.commit_width"},
+        {"cpu.int_alus=0", "cpu.int_alus"},
+        {"cpu.fp_alus=0", "cpu.fp_alus"},
+    };
+    for (const Case &c : rejected) {
+        Config args;
+        ASSERT_TRUE(args.parseAssignment(c.assignment));
+        try {
+            (void)SystemConfig::fromConfig(args);
+            ADD_FAILURE() << c.assignment << " was accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::Fatal) << c.assignment;
+            EXPECT_NE(std::string(e.what()).find(c.key),
+                      std::string::npos)
+                << c.assignment << ": " << e.what();
+        }
+    }
+    for (const char *edge :
+         {"cpu.inst_window=1", "cpu.inst_window=1024",
+          "cpu.issue_width=1", "cpu.int_alus=1"}) {
+        Config args;
+        ASSERT_TRUE(args.parseAssignment(edge));
+        EXPECT_NO_THROW((void)SystemConfig::fromConfig(args)) << edge;
+    }
 }
 
 TEST(ConfigDeath, MalformedBoolIsFatal)
