@@ -3,14 +3,23 @@
  * Golden output table: the FNV-1a-64 digest of each pinned run's
  * result document (renderRunJson) followed by its sample-log CSV.
  *
- * The runs are the six benchmarks on both CPU models plus superscalar
- * jess under the configurations that exercise the core's unusual
- * paths: a window that is not a power of two, a window wider than one
- * 64-bit word, DVFS throttling, a spin-down disk and disk faults. Any
- * change to a simulated output changes a digest. On a mismatch the
- * test names the run and prints the whole recomputed table; a
- * deliberate regeneration replaces the table below with that output
- * and says why in CHANGES.md.
+ * The runs are the six benchmarks on both CPU models plus jess under
+ * the configurations that exercise each core's unusual paths. For the
+ * superscalar core: a window that is not a power of two, a window
+ * wider than one 64-bit word, DVFS throttling, a spin-down disk and
+ * disk faults. For the in-order core: a sample window that is not a
+ * round number, a long memory latency, small and mid-sized TLBs,
+ * halted idle, DVFS throttling, and four runs cut short. Of those,
+ * deadline_s=0.00041 and max_cycles=70001 expire part-way through a
+ * multi-cycle instruction, deadline_s=0.0004 expires between two
+ * instructions, and max_cycles=150001 is overshot by an idle
+ * fast-forward. One in-order row autosaves every 40k cycles: each
+ * autosave squashes the instruction in flight, so its digest pins the
+ * ticks at which checkpoints are taken. Any change to a
+ * simulated output changes a digest. On a mismatch the test names the
+ * run and prints the whole recomputed table; a deliberate regeneration
+ * replaces the table below with that output and says why in
+ * CHANGES.md.
  */
 
 #include <cstdint>
@@ -22,6 +31,7 @@
 
 #include "core/experiment.hh"
 #include "core/runner.hh"
+#include "core/system.hh"
 #include "sim/checkpoint.hh"
 #include "sim/config.hh"
 
@@ -37,6 +47,7 @@ struct GoldenRun
     const char *bench;
     const char *args;  ///< Space-separated key=value assignments.
     std::uint64_t digest;
+    RunOutcome outcome = RunOutcome::Completed;
 };
 
 // clang-format off
@@ -58,6 +69,17 @@ const GoldenRun goldenTable[] = {
     {"jess", "cpu.model=superscalar dvfs=1 power_budget_w=6", 0x478d4140fcd3fa2bull},
     {"jess", "cpu.model=superscalar disk.config=spindown disk.threshold_s=0.001", 0x378c18ef87c14afcull},
     {"jess", "cpu.model=superscalar disk.fault.enabled=1 disk.fault.transient_rate=0.2", 0x2055b0d968647c87ull},
+    {"jess", "cpu.model=inorder sample_window=997", 0xca7e876264d5f95aull},
+    {"jess", "cpu.model=inorder mem.latency=300", 0xbdfad31dc665e09dull},
+    {"jess", "cpu.model=inorder tlb.entries=8", 0x759f22f9b9df1144ull},
+    {"jess", "cpu.model=inorder tlb.entries=48", 0xf6a04c9c02c3142bull},
+    {"jess", "cpu.model=inorder halt_on_idle=1", 0xb81a3e71f6b97aa5ull},
+    {"jess", "cpu.model=inorder dvfs=1 power_budget_w=6", 0x42be1c977da7d0abull},
+    {"jess", "cpu.model=inorder deadline_s=0.0004", 0x53f5316f1d99f254ull, RunOutcome::DeadlineExceeded},
+    {"jess", "cpu.model=inorder max_cycles=150001", 0xd1ac3ed6c01a1f11ull, RunOutcome::WatchdogExpired},
+    {"jess", "cpu.model=inorder deadline_s=0.00041", 0xe3902fa82f9b6b27ull, RunOutcome::DeadlineExceeded},
+    {"jess", "cpu.model=inorder max_cycles=70001", 0x23af39cb68b8217full, RunOutcome::WatchdogExpired},
+    {"jess", "cpu.model=inorder checkpoint_every_s=0.0002", 0x9649ee3219cb64ffull},
 };
 // clang-format on
 
@@ -67,8 +89,17 @@ label(const GoldenRun &g)
     return std::string(g.bench) + " " + g.args;
 }
 
+/** Autosave file of the row that checkpoints (removed after it). */
+const std::string goldenAutosave = "golden_autosave.ckpt";
+
+/**
+ * The row's machine configuration. deadline_s and checkpoint_every_s
+ * are runner keys (ExperimentSpec::fromArgs), read here before
+ * fromConfig as a harness would; the autosave cadence goes to
+ * @p options when given.
+ */
 SystemConfig
-configFor(const GoldenRun &g)
+configFor(const GoldenRun &g, RunOptions *options = nullptr)
 {
     Config config;
     std::istringstream words(g.args);
@@ -77,7 +108,15 @@ configFor(const GoldenRun &g)
         if (!config.parseAssignment(word))
             ADD_FAILURE() << "bad golden assignment '" << word << "'";
     }
-    return SystemConfig::fromConfig(config);
+    double deadline_s = config.getDouble("deadline_s", 0.0);
+    double every_s = config.getDouble("checkpoint_every_s", 0.0);
+    if (options && every_s > 0) {
+        options->checkpointEverySeconds = every_s;
+        options->checkpointPath = goldenAutosave;
+    }
+    SystemConfig system = SystemConfig::fromConfig(config);
+    system.deadlineSeconds = deadline_s;
+    return system;
 }
 
 std::uint64_t
@@ -98,8 +137,13 @@ row(const GoldenRun &g, std::uint64_t digest)
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
                   static_cast<unsigned long long>(digest));
+    std::string outcome;
+    if (g.outcome == RunOutcome::WatchdogExpired)
+        outcome = ", RunOutcome::WatchdogExpired";
+    else if (g.outcome == RunOutcome::DeadlineExceeded)
+        outcome = ", RunOutcome::DeadlineExceeded";
     return std::string("    {\"") + g.bench + "\", \"" + g.args +
-           "\", 0x" + hex + "ull},\n";
+           "\", 0x" + hex + "ull" + outcome + "},\n";
 }
 
 } // namespace
@@ -109,19 +153,28 @@ TEST(Golden, RunOutputsMatchPinnedDigests)
     std::string table;
     bool mismatch = false;
     for (const GoldenRun &g : goldenTable) {
-        SystemConfig config = configFor(g);
+        RunOptions options;
+        SystemConfig config = configFor(g, &options);
         BenchmarkRun run = runBenchmark(benchmarkByName(g.bench), config,
-                                        goldenScale);
-        ASSERT_TRUE(run.result.ok()) << label(g) << ": "
-                                     << run.result.diagnostics;
-        if (config.cpuModel == CpuModel::Superscalar) {
-            // The core's squash paths are only pinned if they ran:
-            // TLB-miss traps, interrupt squashes and the drain before
+                                        goldenScale, options);
+        std::remove(goldenAutosave.c_str());
+        std::remove(checkpointPreviousGeneration(goldenAutosave).c_str());
+        ASSERT_TRUE(run.hasData()) << label(g) << ": "
+                                   << run.result.diagnostics;
+        ASSERT_EQ(runOutcomeName(run.result.outcome),
+                  std::string(runOutcomeName(g.outcome)))
+            << label(g) << ": " << run.result.diagnostics;
+        if (g.outcome == RunOutcome::Completed) {
+            // A core's squash and stall paths are only pinned if they
+            // ran: TLB-miss traps, interrupts and the drain before
             // idle fast-forward.
             const System &sys = *run.system;
             EXPECT_GT(sys.tlb().misses(), 0u) << label(g);
             EXPECT_GT(sys.kernel().clockInterrupts(), 0u) << label(g);
             EXPECT_GT(sys.fastForwardedCycles(), 0u) << label(g);
+            if (options.checkpointEverySeconds > 0) {
+                EXPECT_GT(sys.checkpointsTaken(), 0u) << label(g);
+            }
         }
         std::uint64_t digest = digestOf(run);
         if (digest != g.digest) {
