@@ -1,12 +1,13 @@
 #include "tlb.hh"
 
+#include "sim/check.hh"
 #include "sim/logging.hh"
 
 namespace softwatt
 {
 
 Tlb::Tlb(int num_entries, int page_bytes)
-    : entries(num_entries), pageSize(page_bytes)
+    : pageSize(page_bytes)
 {
     if (num_entries <= 0)
         fatal("TLB must have at least one entry");
@@ -15,6 +16,74 @@ Tlb::Tlb(int num_entries, int page_bytes)
     pageShift = 0;
     for (int v = page_bytes; v > 1; v >>= 1)
         ++pageShift;
+
+    entries.resize(std::size_t(num_entries));
+    chainNext.assign(std::size_t(num_entries), -1);
+    // At least two buckets per slot keeps chains about one entry long.
+    bucketBits = 1;
+    while ((std::size_t(1) << bucketBits) < 2 * std::size_t(num_entries))
+        ++bucketBits;
+    bucketHead.assign(std::size_t(1) << bucketBits, -1);
+
+    if constexpr (checksEnabled())
+        shadow = std::make_unique<ReferenceTlb>(num_entries, page_bytes);
+}
+
+std::size_t
+Tlb::bucketOf(std::uint32_t asid, Addr page) const
+{
+    // Fibonacci hashing: the multiply spreads consecutive pages and
+    // the high bits select the bucket.
+    std::uint64_t key = page ^ (std::uint64_t(asid) << 44);
+    return std::size_t((key * 0x9e3779b97f4a7c15ull) >>
+                       (64 - bucketBits));
+}
+
+int
+Tlb::findSlot(std::uint32_t asid, Addr page) const
+{
+    for (std::int32_t s = bucketHead[bucketOf(asid, page)]; s >= 0;
+         s = chainNext[std::size_t(s)]) {
+        const Entry &e = entries[std::size_t(s)];
+        if (e.vpn == page && e.asid == asid)
+            return s;
+    }
+    return -1;
+}
+
+void
+Tlb::link(int slot)
+{
+    const Entry &e = entries[std::size_t(slot)];
+    std::int32_t &head = bucketHead[bucketOf(e.asid, e.vpn)];
+    chainNext[std::size_t(slot)] = head;
+    head = slot;
+}
+
+void
+Tlb::unlink(int slot)
+{
+    const Entry &e = entries[std::size_t(slot)];
+    std::int32_t *at = &bucketHead[bucketOf(e.asid, e.vpn)];
+    while (*at != slot)
+        at = &chainNext[std::size_t(*at)];
+    *at = chainNext[std::size_t(slot)];
+}
+
+int
+Tlb::victimSlot() const
+{
+    // ReferenceTlb's rule in one downward pass: the highest invalid
+    // slot, else the least lastUse, the lowest slot on a tie.
+    int victim = size() - 1;
+    for (int s = size() - 1; s >= 0; --s) {
+        const Entry &e = entries[std::size_t(s)];
+        if (!e.valid)
+            return s;
+        if (e.lastUse <= entries[std::size_t(victim)].lastUse)
+            victim = s;
+    }
+    return victim;
 }
 
 bool
@@ -22,15 +91,18 @@ Tlb::lookup(std::uint32_t asid, Addr vaddr)
 {
     ++numRefs;
     ++useCounter;
-    Addr page = vpn(vaddr);
-    for (Entry &e : entries) {
-        if (e.valid && e.asid == asid && e.vpn == page) {
-            e.lastUse = useCounter;
-            return true;
-        }
+    int slot = findSlot(asid, vpn(vaddr));
+    // The shadow exists only where SW_ASSERT is live, so its
+    // operations run inside the asserts.
+    SW_ASSERT(shadow->lookup(asid, vaddr) == slot,
+              msg() << "Tlb::lookup: the index and the linear scan "
+                    << "disagree on (" << asid << ", " << vaddr << ")");
+    if (slot < 0) {
+        ++numMisses;
+        return false;
     }
-    ++numMisses;
-    return false;
+    entries[std::size_t(slot)].lastUse = useCounter;
+    return true;
 }
 
 void
@@ -38,23 +110,21 @@ Tlb::insert(std::uint32_t asid, Addr vaddr)
 {
     ++useCounter;
     Addr page = vpn(vaddr);
-
-    Entry *victim = &entries[0];
-    for (Entry &e : entries) {
-        if (e.valid && e.asid == asid && e.vpn == page) {
-            e.lastUse = useCounter;  // already present
-            return;
-        }
-        if (!e.valid) {
-            victim = &e;
-        } else if (victim->valid && e.lastUse < victim->lastUse) {
-            victim = &e;
-        }
+    int slot = findSlot(asid, page);
+    if (slot < 0) {
+        slot = victimSlot();
+        Entry &e = entries[std::size_t(slot)];
+        if (e.valid)
+            unlink(slot);
+        e.asid = asid;
+        e.vpn = page;
+        e.valid = true;
+        link(slot);
     }
-    victim->asid = asid;
-    victim->vpn = page;
-    victim->valid = true;
-    victim->lastUse = useCounter;
+    entries[std::size_t(slot)].lastUse = useCounter;
+    SW_ASSERT(shadow->insert(asid, vaddr) == slot,
+              msg() << "Tlb::insert: the index and the linear scan "
+                    << "disagree on (" << asid << ", " << vaddr << ")");
 }
 
 void
@@ -62,14 +132,40 @@ Tlb::invalidateAll()
 {
     for (Entry &e : entries)
         e.valid = false;
+    bucketHead.assign(bucketHead.size(), -1);
+    if constexpr (checksEnabled())
+        shadow->invalidateAll();
 }
 
 void
 Tlb::invalidateAsid(std::uint32_t asid)
 {
-    for (Entry &e : entries) {
-        if (e.asid == asid)
+    for (int s = 0; s < size(); ++s) {
+        Entry &e = entries[std::size_t(s)];
+        if (e.asid == asid && e.valid) {
+            unlink(s);
             e.valid = false;
+        }
+    }
+    if constexpr (checksEnabled()) {
+        shadow->invalidateAsid(asid);
+        for (int s = 0; s < size(); ++s) {
+            SW_ASSERT(entries[std::size_t(s)].valid == shadow->valid(s),
+                      msg() << "Tlb::invalidateAsid: slot " << s
+                            << " disagrees with the linear scan");
+        }
+    }
+}
+
+void
+Tlb::rebuildIndex()
+{
+    bucketHead.assign(bucketHead.size(), -1);
+    // Linking from the highest slot down puts the lowest slot first
+    // in every chain.
+    for (int s = size() - 1; s >= 0; --s) {
+        if (entries[std::size_t(s)].valid)
+            link(s);
     }
 }
 
@@ -107,6 +203,13 @@ Tlb::loadState(ChunkReader &in)
     useCounter = in.u64();
     numRefs = in.u64();
     numMisses = in.u64();
+    rebuildIndex();
+    if constexpr (checksEnabled()) {
+        ChunkWriter bytes;
+        saveState(bytes);
+        ChunkReader copy(bytes.bytes(), "tlb");
+        shadow->loadState(copy);
+    }
 }
 
 } // namespace softwatt

@@ -9,10 +9,13 @@
 #define SOFTWATT_MEM_TLB_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/types.hh"
+
+#include "reference_tlb.hh"
 
 namespace softwatt
 {
@@ -23,6 +26,13 @@ namespace softwatt
  * Entries are keyed by (address-space id, virtual page number).
  * Kernel-mapped (KSEG0-style) addresses bypass the TLB entirely and
  * never reach this class.
+ *
+ * The slots, the LRU clock and the victim rule (the last invalid
+ * slot, else the valid slot with the least lastUse, lowest slot on a
+ * tie) are those of ReferenceTlb, the original linear scan. A hash
+ * index from (asid, vpn) to slot lets lookup probe one short chain
+ * instead of every slot. Checks builds run a ReferenceTlb in lockstep
+ * and assert that every operation touches the same slot.
  */
 class Tlb : public Checkpointable
 {
@@ -71,6 +81,36 @@ class Tlb : public Checkpointable
     std::uint64_t useCounter = 0;
     std::uint64_t numRefs = 0;
     std::uint64_t numMisses = 0;
+
+    /**
+     * The index: bucket -> first slot of its chain, slot -> next slot
+     * in the same chain, -1 ending both. Every valid slot is linked,
+     * and no other. insert links only translations not yet present;
+     * only a hand-made checkpoint can hold one translation in several
+     * slots, and loadState links those lowest slot first, so a probe
+     * finds the slot the linear scan finds.
+     */
+    std::vector<std::int32_t> bucketHead;  // ckpt:derived: from entries
+    std::vector<std::int32_t> chainNext;   // ckpt:derived: from entries
+    int bucketBits;                        // ckpt:derived: from size
+
+    /** Lockstep reference; allocated only in checks builds. */
+    std::unique_ptr<ReferenceTlb> shadow;  // ckpt:derived: mirrors us
+
+    std::size_t bucketOf(std::uint32_t asid, Addr page) const;
+
+    /** Valid slot holding (asid, page), or -1. */
+    int findSlot(std::uint32_t asid, Addr page) const;
+
+    /** The replacement victim for a translation not present. */
+    int victimSlot() const;
+
+    /** Push @p slot onto the front of its chain. */
+    void link(int slot);
+    void unlink(int slot);
+
+    /** Rebuild the index from the entries (after loadState). */
+    void rebuildIndex();
 };
 
 } // namespace softwatt
