@@ -1,5 +1,8 @@
 #include "stream_gen.hh"
 
+#include <bit>
+#include <cstring>
+
 #include "sim/checkpoint.hh"
 
 #include "sim/logging.hh"
@@ -114,8 +117,66 @@ StreamGen::StreamGen(const StreamSpec &spec, std::uint64_t seed)
     buildClassPattern();
 }
 
+namespace
+{
+
+/**
+ * Class patterns already built on this thread, keyed by the bit
+ * patterns of the five mix fractions (the only inputs of a pattern).
+ * Every service invocation builds a stream, and the machine has only
+ * a dozen or so distinct mixes, so nearly every build is a hit. The
+ * table is fixed-size thread-local storage: it never allocates, and
+ * a thread that sees more mixes than it holds replaces the oldest.
+ */
+struct ClassPatternMemo
+{
+    static constexpr int capacity = 32;
+    struct Entry
+    {
+        std::uint64_t key[5];
+        std::uint8_t pattern[StreamGen::patternLength];
+    };
+    Entry entries[capacity];
+    int used;        // entries filled so far
+    int nextVictim;  // round-robin replacement cursor
+};
+
+// Zero-initialized, as is all thread-local storage.
+thread_local ClassPatternMemo classPatternMemo;
+
+} // namespace
+
 void
 StreamGen::buildClassPattern()
+{
+    const StreamSpec &s = streamSpec;
+    const std::uint64_t key[5] = {
+        std::bit_cast<std::uint64_t>(s.fracLoad),
+        std::bit_cast<std::uint64_t>(s.fracStore),
+        std::bit_cast<std::uint64_t>(s.fracBranch),
+        std::bit_cast<std::uint64_t>(s.fracFp),
+        std::bit_cast<std::uint64_t>(s.fracNop),
+    };
+    ClassPatternMemo &memo = classPatternMemo;
+    for (int i = 0; i < memo.used; ++i) {
+        const ClassPatternMemo::Entry &e = memo.entries[i];
+        if (std::memcmp(e.key, key, sizeof key) == 0) {
+            std::memcpy(classPattern, e.pattern, patternLength);
+            return;
+        }
+    }
+    computeClassPattern(s, classPattern);
+    ClassPatternMemo::Entry &slot = memo.entries[memo.nextVictim];
+    std::memcpy(slot.key, key, sizeof key);
+    std::memcpy(slot.pattern, classPattern, patternLength);
+    memo.nextVictim = (memo.nextVictim + 1) % ClassPatternMemo::capacity;
+    if (memo.used < ClassPatternMemo::capacity)
+        ++memo.used;
+}
+
+void
+StreamGen::computeClassPattern(const StreamSpec &s,
+                               std::uint8_t (&pattern)[patternLength])
 {
     // Fill a fixed-length pattern with class counts matching the
     // spec's fractions (largest-remainder rounding), then shuffle it
@@ -123,7 +184,6 @@ StreamGen::buildClassPattern()
     // pattern entry at its position, so ANY contiguous stretch of
     // code — whatever orbit the control flow settles into — carries
     // the spec's mix, the way compiler-emitted loop bodies do.
-    const StreamSpec &s = streamSpec;
     struct ClassFrac
     {
         InstClass cls;
@@ -180,7 +240,7 @@ StreamGen::buildClassPattern()
         }
         if (best < 0)
             best = 5;  // IntAlu absorbs rounding leftovers
-        classPattern[pos] = std::uint8_t(fracs[best].cls);
+        pattern[pos] = std::uint8_t(fracs[best].cls);
         ++placed[best];
     }
 }

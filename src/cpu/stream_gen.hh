@@ -108,16 +108,23 @@ class StreamGen : public InstSource
     void saveState(ChunkWriter &out) const;
     void loadState(ChunkReader &in);
 
+    /** Length of the repeating per-site class pattern. */
+    static constexpr int patternLength = 128;
+
   private:
     StreamSpec streamSpec;
     Random rng;
 
     /** Repeating per-site class pattern with the spec's exact mix. */
-    static constexpr int patternLength = 128;
     // ckpt:derived: rebuilt from streamSpec by buildClassPattern()
     std::uint8_t classPattern[patternLength];
 
+    /** Fill classPattern, from this thread's memo when it can. */
     void buildClassPattern();
+
+    /** The pattern of @p spec's mix, computed from scratch. */
+    static void computeClassPattern(
+        const StreamSpec &spec, std::uint8_t (&pattern)[patternLength]);
 
     Addr pc;
     Addr nextDataAddr;

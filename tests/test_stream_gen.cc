@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "cpu/stream_gen.hh"
 
@@ -181,6 +183,45 @@ TEST(StreamGen, SerialChainWhenDepProbOne)
         ASSERT_EQ(op.srcA, prev.dst);
         prev = op;
     }
+}
+
+TEST(StreamGen, MemoizedClassPatternsMatchFreshOnes)
+{
+    // Groups of mixes that differ in exactly one of the five
+    // fractions, more of them than the per-thread memo holds. Each
+    // mix's stream is first built on a thread of its own, whose empty
+    // memo forces a fresh pattern. This thread then builds them all
+    // twice, in opposite orders, so some builds hit the memo and
+    // evicted ones miss; every stream must match its fresh twin.
+    std::vector<StreamSpec> specs;
+    for (int field = 0; field < 5; ++field) {
+        for (int k = 0; k < 9; ++k) {
+            StreamSpec s = basicSpec();
+            double *fracs[5] = {&s.fracLoad, &s.fracStore,
+                                &s.fracBranch, &s.fracFp, &s.fracNop};
+            *fracs[field] += 0.01 * (k + 1);
+            specs.push_back(s);
+        }
+    }
+    auto classes = [](const StreamSpec &spec) {
+        StreamGen gen(spec, 11);
+        std::vector<int> seq;
+        MicroOp op;
+        for (int i = 0; i < 600; ++i) {
+            gen.next(op);
+            seq.push_back(int(op.cls));
+        }
+        return seq;
+    };
+    std::vector<std::vector<int>> fresh(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        std::thread worker([&, i] { fresh[i] = classes(specs[i]); });
+        worker.join();
+    }
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(classes(specs[i]), fresh[i]) << "mix " << i;
+    for (std::size_t i = specs.size(); i-- > 0;)
+        EXPECT_EQ(classes(specs[i]), fresh[i]) << "mix " << i;
 }
 
 TEST(BoundedStream, EndsAfterLength)
