@@ -1,5 +1,6 @@
 #include "system.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "cpu/inorder_cpu.hh"
@@ -507,6 +508,35 @@ System::run()
         if (governor) {
             alive = throttledCpuCycle();
         } else {
+            // Stall-span fold: cycles that would only charge a stall
+            // to the instruction in flight are charged in one step,
+            // up to but not onto the next tick at which anything else
+            // can happen (an event, a window close, a checkpoint poll,
+            // the watchdog or the deadline). Busy-waiting idle cycles
+            // stay on the per-cycle path, which counts them towards
+            // idle fast-forward.
+            Cycles quiet = machineCpu->quietCycles();
+            if (quiet > 0 && !machineKernel->idleWaiting()) {
+                Tick horizon = queue.nextEventTick();
+                horizon = std::min(horizon, windowStart + cfg.sampleWindow);
+                horizon = std::min(horizon, Tick(cfg.maxCycles));
+                if (ckpt_interval && !ckptDegraded)
+                    horizon = std::min(horizon, next_ckpt);
+                if (deadline_tick)
+                    horizon = std::min(horizon, deadline_tick);
+                Tick now = queue.now();
+                Cycles span =
+                    horizon > now + 1
+                        ? std::min(quiet, Cycles(horizon - now - 1))
+                        : 0;
+                if (span > 0) {
+                    machineCpu->skipQuietCycles(span);
+                    detailCycles += span;
+                    idleStreak = 0;
+                    queue.advanceTo(now + span);
+                    continue;
+                }
+            }
             alive = machineCpu->cycle();
             ++detailCycles;
         }

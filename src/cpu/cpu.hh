@@ -57,6 +57,21 @@ class Cpu : public Checkpointable
     virtual bool pipelineEmpty() const = 0;
 
     /**
+     * How many of the coming cycles are quiet: cycles in which
+     * cycle() would only charge one stall cycle to work already in
+     * flight, without fetching, retiring or calling the kernel. The
+     * default, 0, never lets the caller skip ahead.
+     */
+    virtual Cycles quietCycles() const { return 0; }
+
+    /**
+     * Charge @p n quiet cycles at once, exactly as n calls of cycle()
+     * would. The caller guarantees n <= quietCycles() and that
+     * nothing else changes machine state in between (no event fires).
+     */
+    virtual void skipQuietCycles(Cycles n) { (void)n; }
+
+    /**
      * Discard all in-flight work, returning the squashed
      * instructions in program order so the caller can requeue them.
      */

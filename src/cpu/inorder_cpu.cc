@@ -129,21 +129,44 @@ InOrderCpu::retireCurrent()
     kernel.onPipelineEmpty();
 }
 
+void
+InOrderCpu::setBusyCycleMode()
+{
+    std::uint32_t ptag = kernel.privilegedTag();
+    if (ptag != 0 && current.mode != ExecMode::Idle) {
+        sink.setCycleMode(current.mode == ExecMode::KernelSync
+                              ? ExecMode::KernelSync
+                              : ExecMode::KernelInst,
+                          ptag);
+    } else {
+        sink.setCycleMode(current.mode, current.frameTag);
+    }
+}
+
+Cycles
+InOrderCpu::quietCycles() const
+{
+    return hasCurrent ? busyCycles - 1 : 0;
+}
+
+void
+InOrderCpu::skipQuietCycles(Cycles n)
+{
+    SW_ASSERT(n <= quietCycles(),
+              "InOrderCpu::skipQuietCycles past the retiring cycle");
+    totalCycles += n;
+    busyCycles -= n;
+    setBusyCycleMode();
+    sink.addCycles(n);
+}
+
 bool
 InOrderCpu::cycle()
 {
     ++totalCycles;
 
     if (hasCurrent) {
-        std::uint32_t ptag = kernel.privilegedTag();
-        if (ptag != 0 && current.mode != ExecMode::Idle) {
-            sink.setCycleMode(current.mode == ExecMode::KernelSync
-                                  ? ExecMode::KernelSync
-                                  : ExecMode::KernelInst,
-                              ptag);
-        } else {
-            sink.setCycleMode(current.mode, current.frameTag);
-        }
+        setBusyCycleMode();
         sink.addCycle();
         if (--busyCycles == 0)
             retireCurrent();

@@ -33,6 +33,10 @@ class InOrderCpu : public Cpu
     bool pipelineEmpty() const override;
     std::vector<MicroOp> squashAllCollect() override;
 
+    /** Every cycle of the instruction in flight but the retiring one. */
+    Cycles quietCycles() const override;
+    void skipQuietCycles(Cycles n) override;
+
     // Checkpointable (requires a drained pipeline).
     void saveState(ChunkWriter &out) const override;
     void loadState(ChunkReader &in) override;
@@ -55,6 +59,9 @@ class InOrderCpu : public Cpu
 
     /** Start executing a newly fetched instruction. */
     void startInst(const MicroOp &op);
+
+    /** Attribute the cycles of the instruction in flight. */
+    void setBusyCycleMode();
 };
 
 } // namespace softwatt

@@ -187,3 +187,26 @@ TEST(Golden, RunOutputsMatchPinnedDigests)
     if (mismatch)
         std::printf("Recomputed golden table:\n%s", table.c_str());
 }
+
+TEST(Golden, TruncatedRowsEndInsideAStallSpan)
+{
+    // The stall-span fold in System::run stops short of the deadline
+    // and the watchdog. These two rows test that bound only while
+    // each run really ends part-way through a multi-cycle
+    // instruction, with quiet cycles still to go.
+    struct Cut
+    {
+        const char *args;
+        Tick endTick;
+    };
+    for (const Cut &cut : {Cut{"cpu.model=inorder deadline_s=0.00041", 82'000},
+                           Cut{"cpu.model=inorder max_cycles=70001", 70'001}}) {
+        GoldenRun g{"jess", cut.args, 0};
+        BenchmarkRun run = runBenchmark(benchmarkByName(g.bench),
+                                        configFor(g), goldenScale);
+        ASSERT_TRUE(run.hasData()) << cut.args;
+        EXPECT_FALSE(run.result.ok()) << cut.args;
+        EXPECT_EQ(run.system->now(), cut.endTick) << cut.args;
+        EXPECT_GT(run.system->cpu().quietCycles(), 0u) << cut.args;
+    }
+}

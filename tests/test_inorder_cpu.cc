@@ -3,6 +3,8 @@
  * Tests for the Mipsy-like in-order CPU model.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "cpu/inorder_cpu.hh"
@@ -181,4 +183,63 @@ TEST(InOrderCpu, NoIssueWindowActivity)
     EXPECT_EQ(f.sink.global().total(CounterId::IssueWindowOp), 0u);
     EXPECT_EQ(f.sink.global().total(CounterId::RenameOp), 0u);
     EXPECT_EQ(f.sink.global().total(CounterId::LsqOp), 0u);
+}
+
+TEST(InOrderCpu, SkippingQuietCyclesMatchesSteppingThem)
+{
+    // One machine steps every cycle; its twin charges quiet stall
+    // cycles in bulk, in uneven pieces. Over the same number of cycles
+    // both must commit the same instructions and leave identical
+    // counters, cycle attribution and cache state.
+    StreamSpec spec;
+    spec.dataFootprint = 4 * 1024 * 1024;
+    spec.hotFootprint = 256 * 1024;
+    spec.coldAccessProb = 0.05;
+    spec.mode = ExecMode::KernelInst;
+    StreamGen stepped_gen(spec, 3), skipping_gen(spec, 3);
+    Fixture stepped, skipping;
+    stepped.kernel.fallback = &stepped_gen;
+    skipping.kernel.fallback = &skipping_gen;
+
+    const Cycles total = 20'000;
+    stepped.run(int(total));
+    Cycles skipped = 0;
+    while (skipping.cpu.cyclesRun() < total) {
+        Cycles quiet = skipping.cpu.quietCycles();
+        Cycles left = total - skipping.cpu.cyclesRun();
+        if (quiet == 0) {
+            skipping.cpu.cycle();
+            continue;
+        }
+        Cycles n = std::min({quiet, (quiet + 1) / 2, left});
+        skipping.cpu.skipQuietCycles(n);
+        skipped += n;
+    }
+    EXPECT_GT(skipped, total / 4);
+
+    EXPECT_EQ(skipping.cpu.committedInsts(), stepped.cpu.committedInsts());
+    EXPECT_EQ(skipping.cpu.quietCycles(), stepped.cpu.quietCycles());
+    EXPECT_EQ(skipping.kernel.committed, stepped.kernel.committed);
+    ChunkWriter stepped_state, skipping_state;
+    stepped.sink.saveState(stepped_state);
+    skipping.sink.saveState(skipping_state);
+    stepped.hierarchy.saveState(stepped_state);
+    skipping.hierarchy.saveState(skipping_state);
+    EXPECT_EQ(skipping_state.bytes(), stepped_state.bytes());
+}
+
+TEST(InOrderCpu, QuietCyclesLeaveTheRetiringCycle)
+{
+    Fixture f;
+    EXPECT_EQ(f.cpu.quietCycles(), 0u);  // nothing in flight
+    f.kernel.push(loadOp(0x100, 0x90000));  // long memory stall
+    f.cpu.cycle();
+    Cycles quiet = f.cpu.quietCycles();
+    ASSERT_GT(quiet, 0u);
+    f.cpu.skipQuietCycles(quiet);
+    EXPECT_EQ(f.cpu.quietCycles(), 0u);
+    EXPECT_EQ(f.cpu.committedInsts(), 0u);
+    f.cpu.cycle();  // the retiring cycle
+    EXPECT_EQ(f.cpu.committedInsts(), 1u);
+    EXPECT_EQ(f.cpu.cyclesRun(), quiet + 2);
 }

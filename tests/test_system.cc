@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "core/experiment.hh"
@@ -172,6 +173,51 @@ TEST(System, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.breakdown.cpuMemEnergyJ(),
                      b.breakdown.cpuMemEnergyJ());
     EXPECT_DOUBLE_EQ(a.system->diskEnergyJ(), b.system->diskEnergyJ());
+}
+
+TEST(System, EventsRunOnceEveryEarlierCycleIsCharged)
+{
+    // An event at tick t must run after exactly t cycles have been
+    // charged (detailed, fast-forwarded or throttled), also when the
+    // in-order core charges a stall span in one step: a span must stop
+    // short of the next event. A probe event every 13 ticks checks
+    // that and cuts many spans short.
+    struct Probe
+    {
+        System &sys;
+        std::uint64_t runs = 0;
+        std::uint64_t late = 0;
+
+        void
+        arm()
+        {
+            sys.eventQueue().scheduleIn(13, [this] { fire(); });
+        }
+
+        void
+        fire()
+        {
+            ++runs;
+            Cycles charged = sys.detailedCycles() +
+                             sys.fastForwardedCycles() +
+                             sys.throttledCycles();
+            if (charged != sys.now())
+                ++late;
+            arm();
+        }
+    };
+
+    SystemConfig config;
+    config.cpuModel = CpuModel::InOrder;
+    config.sampleWindow = 20'000;
+    System sys(config);
+    sys.attachWorkload(std::make_unique<Workload>(
+        scaleWorkload(benchmarkSpec(Benchmark::Jess), 0.01)));
+    Probe probe{sys};
+    probe.arm();
+    ASSERT_TRUE(sys.run().ok());
+    EXPECT_GT(probe.runs, 10'000u);
+    EXPECT_EQ(probe.late, 0u);
 }
 
 TEST(System, ConfigOverridesApply)
