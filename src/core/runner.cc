@@ -114,7 +114,7 @@ ExperimentSpec::fromArgs(const std::string &title, const Config &args)
 {
     ExperimentSpec spec;
     spec.title = title;
-    spec.jobs = int(args.getInt("jobs", 0));
+    spec.jobs = args.getNarrowInt("jobs", 0);
     if (spec.jobs < 0)
         fatal(msg() << "config: jobs must be >= 0 (got " << spec.jobs
                     << "); 0 selects hardware concurrency");

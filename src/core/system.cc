@@ -58,8 +58,8 @@ SystemConfig::fromConfig(const Config &config)
         config.getInt("disk.fault.seed", std::int64_t(fault.seed)));
 
     Kernel::DiskRetryPolicy &retry = sc.kernelParams.diskRetry;
-    retry.maxAttempts = int(config.getInt("disk.retry.max_attempts",
-                                          retry.maxAttempts));
+    retry.maxAttempts = config.getNarrowInt("disk.retry.max_attempts",
+                                            retry.maxAttempts);
     retry.backoffSeconds = config.getDouble("disk.retry.backoff_s",
                                             retry.backoffSeconds);
     retry.backoffMultiplier = config.getDouble(

@@ -1,6 +1,7 @@
 #include "config.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "logging.hh"
 
@@ -58,6 +59,20 @@ Config::getInt(const std::string &key, std::int64_t def) const
         fatal(msg() << "config key '" << key << "': '" << it->second
                     << "' is not an integer");
     return v;
+}
+
+int
+Config::getNarrowInt(const std::string &key, int def) const
+{
+    std::int64_t v = getInt(key, def);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+        fatal(msg() << "config key '" << key << "': " << v
+                    << " does not fit in an int ("
+                    << std::numeric_limits<int>::min() << " to "
+                    << std::numeric_limits<int>::max() << ")");
+    }
+    return int(v);
 }
 
 double

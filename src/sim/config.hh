@@ -46,6 +46,12 @@ class Config
     bool getBool(const std::string &key, bool def) const;
 
     /**
+     * getInt for int-typed settings: fatal(), naming the key, when the
+     * value does not fit in an int, instead of wrapping it silently.
+     */
+    int getNarrowInt(const std::string &key, int def) const;
+
+    /**
      * Parse a "key=value" assignment into the store.
      * @return false if the text is not of that shape.
      */

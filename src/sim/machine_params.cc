@@ -10,38 +10,40 @@ void
 MachineParams::applyConfig(const Config &config)
 {
     instWindowSize =
-        int(config.getInt("cpu.inst_window", instWindowSize));
-    lsqSize = int(config.getInt("cpu.lsq_size", lsqSize));
-    fetchWidth = int(config.getInt("cpu.fetch_width", fetchWidth));
-    decodeWidth = int(config.getInt("cpu.decode_width", decodeWidth));
-    issueWidth = int(config.getInt("cpu.issue_width", issueWidth));
-    commitWidth = int(config.getInt("cpu.commit_width", commitWidth));
-    intAlus = int(config.getInt("cpu.int_alus", intAlus));
-    fpAlus = int(config.getInt("cpu.fp_alus", fpAlus));
-    bhtEntries = int(config.getInt("cpu.bht_entries", bhtEntries));
-    btbEntries = int(config.getInt("cpu.btb_entries", btbEntries));
-    rasEntries = int(config.getInt("cpu.ras_entries", rasEntries));
+        config.getNarrowInt("cpu.inst_window", instWindowSize);
+    lsqSize = config.getNarrowInt("cpu.lsq_size", lsqSize);
+    fetchWidth = config.getNarrowInt("cpu.fetch_width", fetchWidth);
+    decodeWidth = config.getNarrowInt("cpu.decode_width", decodeWidth);
+    issueWidth = config.getNarrowInt("cpu.issue_width", issueWidth);
+    commitWidth = config.getNarrowInt("cpu.commit_width", commitWidth);
+    intAlus = config.getNarrowInt("cpu.int_alus", intAlus);
+    fpAlus = config.getNarrowInt("cpu.fp_alus", fpAlus);
+    bhtEntries = config.getNarrowInt("cpu.bht_entries", bhtEntries);
+    btbEntries = config.getNarrowInt("cpu.btb_entries", btbEntries);
+    rasEntries = config.getNarrowInt("cpu.ras_entries", rasEntries);
 
     icache.sizeBytes = std::uint64_t(
         config.getInt("icache.size_kb", icache.sizeBytes / 1024)) *
         1024;
-    icache.lineBytes = int(config.getInt("icache.line", icache.lineBytes));
-    icache.ways = int(config.getInt("icache.ways", icache.ways));
+    icache.lineBytes =
+        config.getNarrowInt("icache.line", icache.lineBytes);
+    icache.ways = config.getNarrowInt("icache.ways", icache.ways);
     dcache.sizeBytes = std::uint64_t(
         config.getInt("dcache.size_kb", dcache.sizeBytes / 1024)) *
         1024;
-    dcache.lineBytes = int(config.getInt("dcache.line", dcache.lineBytes));
-    dcache.ways = int(config.getInt("dcache.ways", dcache.ways));
+    dcache.lineBytes =
+        config.getNarrowInt("dcache.line", dcache.lineBytes);
+    dcache.ways = config.getNarrowInt("dcache.ways", dcache.ways);
     l2cache.sizeBytes = std::uint64_t(
         config.getInt("l2.size_kb", l2cache.sizeBytes / 1024)) *
         1024;
-    l2cache.lineBytes = int(config.getInt("l2.line", l2cache.lineBytes));
-    l2cache.ways = int(config.getInt("l2.ways", l2cache.ways));
+    l2cache.lineBytes = config.getNarrowInt("l2.line", l2cache.lineBytes);
+    l2cache.ways = config.getNarrowInt("l2.ways", l2cache.ways);
     l2cache.hitLatency =
-        int(config.getInt("l2.latency", l2cache.hitLatency));
+        config.getNarrowInt("l2.latency", l2cache.hitLatency);
 
-    tlbEntries = int(config.getInt("tlb.entries", tlbEntries));
-    memoryLatency = int(config.getInt("mem.latency", memoryLatency));
+    tlbEntries = config.getNarrowInt("tlb.entries", tlbEntries);
+    memoryLatency = config.getNarrowInt("mem.latency", memoryLatency);
     memorySizeBytes = std::uint64_t(config.getInt(
         "mem.size_mb", memorySizeBytes / (1024 * 1024))) *
         1024 * 1024;
@@ -74,6 +76,11 @@ MachineParams::validate() const
                         << "(got " << shape.value << "); the pipeline "
                         << "cannot make progress without it");
         }
+    }
+    if (tlbEntries < 1) {
+        fatal(msg() << "config: tlb.entries must be >= 1 (got "
+                    << tlbEntries << "); every mapped access needs "
+                    << "a TLB slot");
     }
     if (instWindowSize > maxInstWindow) {
         fatal(msg() << "config: cpu.inst_window must be <= "

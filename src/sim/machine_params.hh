@@ -74,13 +74,17 @@ struct MachineParams
      */
     static constexpr int maxInstWindow = 1024;
 
-    /** Override fields from a Config ("icache.size_kb", ...). */
+    /**
+     * Override fields from a Config ("icache.size_kb", ...). An
+     * int-typed key whose value does not fit in an int is fatal,
+     * naming the key.
+     */
     void applyConfig(const Config &config);
 
     /**
-     * fatal() naming the key when the core shape cannot run: every
-     * cpu.* width, unit count and cpu.inst_window must be >= 1, and
-     * cpu.inst_window <= maxInstWindow.
+     * fatal() naming the key when the machine cannot run: every cpu.*
+     * width, unit count and cpu.inst_window must be >= 1, and
+     * cpu.inst_window <= maxInstWindow; tlb.entries must be >= 1.
      */
     void validate() const;
 };

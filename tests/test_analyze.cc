@@ -282,6 +282,23 @@ setup(const Config &config)
               std::string::npos);
 }
 
+TEST(Analyze, SeesKeysReadThroughGetNarrowInt)
+{
+    const char *source = R"(
+void
+setup(const Config &config)
+{
+    int entries = config.getNarrowInt("tlb.slots", 64);
+}
+)";
+    auto findings = run({{"src/core/setup.cc", source}},
+                        "Documented keys: none.\n");
+    auto keys = withRule(findings, "config-key");
+    ASSERT_EQ(keys.size(), 1u);
+    EXPECT_EQ(keys[0].line, 5);
+    EXPECT_NE(keys[0].message.find("'tlb.slots'"), std::string::npos);
+}
+
 TEST(Analyze, FlagsRunnerKeyMissingFromUsage)
 {
     // "turbo" is read in fromArgs and documented in EXPERIMENTS.md

@@ -307,15 +307,44 @@ TEST(CheckpointFormat, AutosaveKeepsTwoGenerations)
     removeCheckpoint(path);
 }
 
-TEST(CheckpointRestore, RestoreAndContinueIsBitIdentical)
+namespace softwatt
 {
-    const std::string path = scratch("continue.ckpt");
+
+/** Test names print the CPU model ("InOrder", "Superscalar"). */
+void
+PrintTo(CpuModel model, std::ostream *out)
+{
+    *out << (model == CpuModel::InOrder ? "InOrder" : "Superscalar");
+}
+
+} // namespace softwatt
+
+/** Restore tests run on both CPU models. */
+class CheckpointRestoreModel : public ::testing::TestWithParam<CpuModel>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Models, CheckpointRestoreModel,
+    ::testing::Values(CpuModel::Superscalar, CpuModel::InOrder));
+
+TEST_P(CheckpointRestoreModel, RestoreAndContinueIsBitIdentical)
+{
+    // In-order runs fold stall spans, which must stop short of every
+    // checkpoint tick for the restored trajectory to match.
+    const CpuModel model = GetParam();
+    const std::string path =
+        scratch(model == CpuModel::InOrder ? "continue-inorder.ckpt"
+                                           : "continue.ckpt");
+    const std::string older_path =
+        scratch(model == CpuModel::InOrder ? "continue-older-inorder.ckpt"
+                                           : "continue-older.ckpt");
     removeCheckpoint(path);
 
     // Reference: uninterrupted run with periodic autosave. The final
     // autosave on disk is a mid-run state some windows before the
     // end.
-    std::unique_ptr<System> reference = makeSystem();
+    std::unique_ptr<System> reference = makeSystem(model);
     reference->setCheckpointPolicy(tinyCadenceS, path);
     ASSERT_TRUE(reference->run().ok());
     ASSERT_GE(reference->checkpointsTaken(), 3u);
@@ -324,7 +353,7 @@ TEST(CheckpointRestore, RestoreAndContinueIsBitIdentical)
     // Restore the newest autosave into a fresh machine and continue
     // under the same cadence: every observable must match the
     // uninterrupted reference bit for bit.
-    std::unique_ptr<System> restored = makeSystem();
+    std::unique_ptr<System> restored = makeSystem(model);
     restored->setCheckpointPolicy(tinyCadenceS, path);
     ASSERT_TRUE(restored->restoreCheckpoint(path));
     EXPECT_TRUE(restored->restored());
@@ -334,16 +363,15 @@ TEST(CheckpointRestore, RestoreAndContinueIsBitIdentical)
 
     // The previous generation restores and reproduces the reference
     // as well (one more autosave happens on the way).
-    std::unique_ptr<System> older = makeSystem();
-    older->setCheckpointPolicy(
-        tinyCadenceS, scratch("continue-older.ckpt"));
+    std::unique_ptr<System> older = makeSystem(model);
+    older->setCheckpointPolicy(tinyCadenceS, older_path);
     ASSERT_TRUE(
         older->restoreCheckpoint(checkpointPreviousGeneration(path)));
     ASSERT_TRUE(older->run().ok());
     EXPECT_EQ(finalStateSignature(*older), expected);
 
     removeCheckpoint(path);
-    removeCheckpoint(scratch("continue-older.ckpt"));
+    removeCheckpoint(older_path);
 }
 
 TEST(CheckpointRestore, CorruptLatestFallsBackOneGeneration)

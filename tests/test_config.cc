@@ -160,6 +160,15 @@ TEST_F(ConfigErrorTest, CoreShapesThePipelineCannotRunAreFatal)
         {"cpu.commit_width=-1", "cpu.commit_width"},
         {"cpu.int_alus=0", "cpu.int_alus"},
         {"cpu.fp_alus=0", "cpu.fp_alus"},
+        // Out-of-int-range values used to wrap: a 1-entry TLB, a
+        // 64-entry TLB and a 1-entry window ran silently.
+        {"tlb.entries=4294967297", "tlb.entries"},
+        {"tlb.entries=4294967360", "tlb.entries"},
+        {"cpu.inst_window=4294967297", "cpu.inst_window"},
+        {"tlb.entries=0", "tlb.entries"},
+        {"tlb.entries=-64", "tlb.entries"},
+        {"mem.latency=-4294967296", "mem.latency"},
+        {"disk.retry.max_attempts=4294967297", "disk.retry.max_attempts"},
     };
     for (const Case &c : rejected) {
         Config args;
@@ -176,7 +185,7 @@ TEST_F(ConfigErrorTest, CoreShapesThePipelineCannotRunAreFatal)
     }
     for (const char *edge :
          {"cpu.inst_window=1", "cpu.inst_window=1024",
-          "cpu.issue_width=1", "cpu.int_alus=1"}) {
+          "cpu.issue_width=1", "cpu.int_alus=1", "tlb.entries=1"}) {
         Config args;
         ASSERT_TRUE(args.parseAssignment(edge));
         EXPECT_NO_THROW((void)SystemConfig::fromConfig(args)) << edge;

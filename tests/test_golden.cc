@@ -199,8 +199,11 @@ TEST(Golden, TruncatedRowsEndInsideAStallSpan)
         const char *args;
         Tick endTick;
     };
-    for (const Cut &cut : {Cut{"cpu.model=inorder deadline_s=0.00041", 82'000},
-                           Cut{"cpu.model=inorder max_cycles=70001", 70'001}}) {
+    const Cut cuts[] = {
+        {"cpu.model=inorder deadline_s=0.00041", 82'000},
+        {"cpu.model=inorder max_cycles=70001", 70'001},
+    };
+    for (const Cut &cut : cuts) {
         GoldenRun g{"jess", cut.args, 0};
         BenchmarkRun run = runBenchmark(benchmarkByName(g.bench),
                                         configFor(g), goldenScale);

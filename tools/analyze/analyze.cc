@@ -713,7 +713,8 @@ scanConfigKeys(const FileData &file, std::vector<KeySite> &sites)
 
     // config.getX("key", ...) reads.
     for (const char *getter :
-         {"getString", "getInt", "getDouble", "getBool", "has"}) {
+         {"getString", "getInt", "getNarrowInt", "getDouble", "getBool",
+          "has"}) {
         std::size_t pos = 0;
         while ((pos = findWord(masked, getter, pos)) !=
                std::string::npos) {
