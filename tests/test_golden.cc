@@ -15,7 +15,9 @@
  * instructions, and max_cycles=150001 is overshot by an idle
  * fast-forward. One in-order row autosaves every 40k cycles: each
  * autosave squashes the instruction in flight, so its digest pins the
- * ticks at which checkpoints are taken. Any change to a
+ * ticks at which checkpoints are taken, and the row also pins the
+ * digest of its final autosave file (the checkpoint format itself).
+ * Any change to a
  * simulated output changes a digest. On a mismatch the test names the
  * run and prints the whole recomputed table; a deliberate regeneration
  * replaces the table below with that output and says why in
@@ -24,6 +26,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -48,6 +51,8 @@ struct GoldenRun
     const char *args;  ///< Space-separated key=value assignments.
     std::uint64_t digest;
     RunOutcome outcome = RunOutcome::Completed;
+    /** FNV-1a-64 of the final autosave file; rows that autosave. */
+    std::uint64_t autosaveDigest = 0;
 };
 
 // clang-format off
@@ -79,7 +84,7 @@ const GoldenRun goldenTable[] = {
     {"jess", "cpu.model=inorder max_cycles=150001", 0xd1ac3ed6c01a1f11ull, RunOutcome::WatchdogExpired},
     {"jess", "cpu.model=inorder deadline_s=0.00041", 0xe3902fa82f9b6b27ull, RunOutcome::DeadlineExceeded},
     {"jess", "cpu.model=inorder max_cycles=70001", 0x23af39cb68b8217full, RunOutcome::WatchdogExpired},
-    {"jess", "cpu.model=inorder checkpoint_every_s=0.0002", 0x9649ee3219cb64ffull},
+    {"jess", "cpu.model=inorder checkpoint_every_s=0.0002", 0x9649ee3219cb64ffull, RunOutcome::Completed, 0x9783f496ca07534cull},
 };
 // clang-format on
 
@@ -119,6 +124,20 @@ configFor(const GoldenRun &g, RunOptions *options = nullptr)
     return system;
 }
 
+/** FNV-1a-64 of a whole file; 0 when it cannot be read. */
+std::uint64_t
+fileDigest(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return 0;
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const std::string text = bytes.str();
+    return fnv1a64(reinterpret_cast<const std::uint8_t *>(text.data()),
+                   text.size());
+}
+
 std::uint64_t
 digestOf(const BenchmarkRun &run)
 {
@@ -130,20 +149,31 @@ digestOf(const BenchmarkRun &run)
                    text.size());
 }
 
-/** One table row in the source form of goldenTable. */
 std::string
-row(const GoldenRun &g, std::uint64_t digest)
+hex64(std::uint64_t value)
 {
     char hex[17];
     std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(digest));
+                  static_cast<unsigned long long>(value));
+    return std::string("0x") + hex + "ull";
+}
+
+/** One table row in the source form of goldenTable. */
+std::string
+row(const GoldenRun &g, std::uint64_t digest,
+    std::uint64_t autosave_digest)
+{
     std::string outcome;
     if (g.outcome == RunOutcome::WatchdogExpired)
         outcome = ", RunOutcome::WatchdogExpired";
     else if (g.outcome == RunOutcome::DeadlineExceeded)
         outcome = ", RunOutcome::DeadlineExceeded";
+    else if (autosave_digest != 0)
+        outcome = ", RunOutcome::Completed";
+    if (autosave_digest != 0)
+        outcome += ", " + hex64(autosave_digest);
     return std::string("    {\"") + g.bench + "\", \"" + g.args +
-           "\", 0x" + hex + "ull" + outcome + "},\n";
+           "\", " + hex64(digest) + outcome + "},\n";
 }
 
 } // namespace
@@ -157,6 +187,13 @@ TEST(Golden, RunOutputsMatchPinnedDigests)
         SystemConfig config = configFor(g, &options);
         BenchmarkRun run = runBenchmark(benchmarkByName(g.bench), config,
                                         goldenScale, options);
+        // The final autosave pins the checkpoint bytes, so a format
+        // change that forgets to bump checkpointFormatVersion fails
+        // here.
+        std::uint64_t autosave_digest =
+            options.checkpointEverySeconds > 0
+                ? fileDigest(goldenAutosave)
+                : 0;
         std::remove(goldenAutosave.c_str());
         std::remove(checkpointPreviousGeneration(goldenAutosave).c_str());
         ASSERT_TRUE(run.hasData()) << label(g) << ": "
@@ -182,7 +219,12 @@ TEST(Golden, RunOutputsMatchPinnedDigests)
             ADD_FAILURE() << "golden digest mismatch for '" << label(g)
                           << "'";
         }
-        table += row(g, digest);
+        if (autosave_digest != g.autosaveDigest) {
+            mismatch = true;
+            ADD_FAILURE() << "autosave digest mismatch for '"
+                          << label(g) << "'";
+        }
+        table += row(g, digest, autosave_digest);
     }
     if (mismatch)
         std::printf("Recomputed golden table:\n%s", table.c_str());
