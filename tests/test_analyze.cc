@@ -166,6 +166,44 @@ Meter::loadState(ChunkReader &in)
               std::string::npos);
 }
 
+TEST(Analyze, FlagsVarintSavedButFixedWidthLoaded)
+{
+    // A cell written as a varint but read back as a u64 parses as
+    // garbage; reserve() moves no data and is not sequenced.
+    const char *source = R"(
+class Bank
+{
+  public:
+    void saveState(ChunkWriter &out) const;
+    void loadState(ChunkReader &in);
+
+  private:
+    std::uint64_t cell = 0;
+};
+
+void
+Bank::saveState(ChunkWriter &out) const
+{
+    out.reserve(10);
+    out.varint(cell);
+}
+
+void
+Bank::loadState(ChunkReader &in)
+{
+    cell = in.u64();
+}
+)";
+    auto findings = run({{"src/sim/bank.hh", source}});
+    auto symmetry = withRule(findings, "save-load-symmetry");
+    ASSERT_EQ(symmetry.size(), 1u);
+    EXPECT_EQ(symmetry[0].line, 22);  // the in.u64() read
+    EXPECT_NE(symmetry[0].message.find("'varint'"), std::string::npos);
+    EXPECT_NE(symmetry[0].message.find("'u64'"), std::string::npos);
+    EXPECT_NE(symmetry[0].message.find("position 1"),
+              std::string::npos);
+}
+
 TEST(Analyze, FlagsSaveLoadCountMismatch)
 {
     const char *source = R"(

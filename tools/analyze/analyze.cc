@@ -127,7 +127,7 @@ const std::set<std::string> &
 valueMethods()
 {
     static const std::set<std::string> methods = {
-        "u8", "u16", "u32", "u64", "b", "f64", "str"};
+        "u8", "u16", "u32", "u64", "varint", "b", "f64", "str"};
     return methods;
 }
 
@@ -136,14 +136,14 @@ const std::set<std::string> &
 neutralMethods()
 {
     static const std::set<std::string> methods = {
-        "finish", "remaining", "bytes"};
+        "finish", "remaining", "bytes", "reserve"};
     return methods;
 }
 
 /** One element of a save or load call sequence. */
 struct SeqCall
 {
-    std::string type;  ///< u8/u16/u32/u64/b/f64/str or "sub".
+    std::string type;  ///< u8/u16/u32/u64/varint/b/f64/str or "sub".
     int line = 0;
 };
 
