@@ -201,7 +201,7 @@ recordPool(const std::string &root)
                 ChunkWriter payload;
                 payload.u64(generation);
                 payload.str("crashsim-pool");
-                image.add("payload", payload);
+                image.add("payload", std::move(payload));
                 writeCheckpoint(inflight, image, Durability::Full);
                 if (!pool.promote(key, inflight))
                     fatal("crashsim: reference promote failed");

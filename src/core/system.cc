@@ -730,7 +730,7 @@ System::buildCheckpointImage()
     auto chunk = [&image](const char *name, auto &&fill) {
         ChunkWriter w;
         fill(w);
-        image.add(name, w);
+        image.add(name, std::move(w));
     };
     chunk("event-queue",
           [&](ChunkWriter &w) { queue.saveState(w); });

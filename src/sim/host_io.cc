@@ -173,12 +173,14 @@ HostIo::recording() const
 
 IoStatus
 HostIo::gate(IoOpKind kind, const std::string &path,
-             const std::string &path2, std::string *data,
-             bool truncate, bool *torn, bool *shortened)
+             const std::string &path2, const std::string *data,
+             bool truncate, bool *torn, std::size_t *kept)
 {
     Impl &s = impl();
     std::lock_guard<std::mutex> lock(s.mutex);
     ++s.ops;
+    const std::size_t size = data ? data->size() : 0;
+    std::size_t keep = size;
 
     if (s.policy.enabled) {
         const IoFaultPolicy &p = s.policy;
@@ -193,8 +195,7 @@ HostIo::gate(IoOpKind kind, const std::string &path,
         bool writeLike = kind == IoOpKind::Open ||
                          kind == IoOpKind::Write;
         if (p.enospcAfterBytes != 0 && kind == IoOpKind::Write &&
-            s.bytesWritten + (data ? data->size() : 0) >
-                p.enospcAfterBytes) {
+            s.bytesWritten + size > p.enospcAfterBytes) {
             return IoStatus::failure(
                 msg() << "write '" << path << "': no space left on "
                       << "device (simulated ENOSPC, byte budget "
@@ -213,11 +214,9 @@ HostIo::gate(IoOpKind kind, const std::string &path,
                       << "': no space left on device "
                       << "(injected ENOSPC)");
         }
-        if (p.shortWriteRate > 0 && kind == IoOpKind::Write && data &&
-            !data->empty() && s.rng.chance(p.shortWriteRate)) {
-            data->resize(std::size_t(s.rng.below(data->size())));
-            if (shortened)
-                *shortened = true;
+        if (p.shortWriteRate > 0 && kind == IoOpKind::Write &&
+            size > 0 && s.rng.chance(p.shortWriteRate)) {
+            keep = std::size_t(s.rng.below(size));
         }
         if (p.tornRenameRate > 0 && kind == IoOpKind::Rename &&
             s.rng.chance(p.tornRenameRate)) {
@@ -227,7 +226,9 @@ HostIo::gate(IoOpKind kind, const std::string &path,
     }
 
     if (kind == IoOpKind::Write)
-        s.bytesWritten += data ? data->size() : 0;
+        s.bytesWritten += keep;
+    if (kept)
+        *kept = keep;
 
     if (s.logging) {
         IoRecord record;
@@ -235,7 +236,7 @@ HostIo::gate(IoOpKind kind, const std::string &path,
         record.path = path;
         record.path2 = path2;
         if (data)
-            record.data = *data;
+            record.data.assign(*data, 0, keep);
         record.truncate = truncate;
         s.log.push_back(std::move(record));
     }
@@ -299,17 +300,14 @@ IoStatus
 HostFile::write(const std::string &bytes)
 {
     SW_CHECK(fd >= 0, "HostFile::write on a closed file");
-    std::string payload = bytes;
-    bool shortened = false;
+    std::size_t kept = bytes.size();
     IoStatus gated = HostIo::instance().gate(
-        IoOpKind::Write, filePath, "", &payload, false, nullptr,
-        &shortened);
+        IoOpKind::Write, filePath, "", &bytes, false, nullptr, &kept);
     if (!gated)
         return gated;
     std::size_t done = 0;
-    while (done < payload.size()) {
-        ssize_t n = ::write(fd, payload.data() + done,
-                            payload.size() - done);
+    while (done < kept) {
+        ssize_t n = ::write(fd, bytes.data() + done, kept - done);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -318,13 +316,13 @@ HostFile::write(const std::string &bytes)
         }
         done += std::size_t(n);
     }
-    if (shortened) {
-        // The truncated payload really hit the disk (that is the
-        // point: readers must cope with the torn record), but the
-        // writer is told the truth.
+    if (kept < bytes.size()) {
+        // The kept prefix really hit the disk (that is the point:
+        // readers must cope with the torn record), but the writer
+        // is told the truth.
         return IoStatus::failure(
             msg() << "write '" << filePath << "': short write ("
-                  << payload.size() << " of " << bytes.size()
+                  << kept << " of " << bytes.size()
                   << " bytes; injected fault)");
     }
     return IoStatus::good();

@@ -37,6 +37,7 @@
 #ifndef SOFTWATT_SIM_HOST_IO_HH
 #define SOFTWATT_SIM_HOST_IO_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -188,13 +189,15 @@ class HostIo
      * Account, record and (possibly) fault one op. On injected
      * failure returns the failure status and the caller must not
      * touch the disk — except for a torn rename, where @p torn is
-     * set and the caller materializes the torn destination. A short
-     * write truncates @p data in place before returning success;
-     * the caller writes the truncated buffer and reports failure.
+     * set and the caller materializes the torn destination. For a
+     * write, @p kept receives how many leading bytes of @p data
+     * reach the disk: all of them, or fewer after a short-write
+     * fault, in which case the caller writes that prefix and
+     * reports failure.
      */
     IoStatus gate(IoOpKind kind, const std::string &path,
-                  const std::string &path2, std::string *data,
-                  bool truncate, bool *torn, bool *shortened);
+                  const std::string &path2, const std::string *data,
+                  bool truncate, bool *torn, std::size_t *kept);
 
     struct Impl;
     Impl &impl() const;
@@ -253,7 +256,8 @@ class HostFile
 
     bool isOpen() const { return fd >= 0; }
 
-    /** Write all of @p bytes (an injected short write truncates). */
+    /** Write all of @p bytes, straight from the caller's buffer (an
+     *  injected short write keeps only a prefix and fails). */
     IoStatus write(const std::string &bytes);
 
     /** Stream-level flush record; no durability barrier. */

@@ -88,6 +88,11 @@ class SampleLog
     void loadState(ChunkReader &in);
 
   private:
+    /** Fewest bytes one record takes in a checkpoint: its two ticks
+     *  and operating point, then its counters. */
+    static constexpr std::size_t minRecordBytes =
+        4 * 8 + CounterBank::minEncodedBytes;
+
     std::vector<SampleRecord> records;
 };
 

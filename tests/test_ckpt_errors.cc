@@ -65,11 +65,11 @@ class CkptErrorsTest : public ::testing::Test
         cpu.u64(42);
         cpu.f64(2.5);
         cpu.b(true);
-        image.add("cpu", cpu);
+        image.add("cpu", std::move(cpu));
         ChunkWriter disk;
         disk.u32(7);
         disk.str("idle");
-        image.add("disk", disk);
+        image.add("disk", std::move(disk));
         return image;
     }
 

@@ -76,7 +76,7 @@ imageWithFingerprint(std::uint64_t fingerprint)
     ChunkWriter payload;
     payload.u64(fingerprint);
     payload.str("crash-consistency");
-    image.add("payload", payload);
+    image.add("payload", std::move(payload));
     return image;
 }
 
@@ -134,17 +134,28 @@ TEST(HostIoFaults, ShortWriteTruncatesAndReportsFailure)
     policy.seed = 7;
     policy.shortWriteRate = 1.0;
     const std::string payload = "twelve bytes";
+    std::vector<IoRecord> log;
     {
         ScopedIoFaults faults(policy);
+        HostIo::instance().startRecording();
         HostFile file;
         ASSERT_TRUE(file.open(path, /*truncate=*/true));
         IoStatus st = file.write(payload);
+        log = HostIo::instance().stopRecording();
         // The writer is told the truth...
         EXPECT_FALSE(st);
         EXPECT_NE(st.message.find("short write"), std::string::npos);
     }
-    // ...but the truncated prefix really reached the disk.
-    EXPECT_LT(hostFileSize(path), payload.size());
+    // ...but the kept prefix really reached the disk, and the op log
+    // holds exactly the same bytes, so crash replay materializes
+    // what the disk saw.
+    ASSERT_EQ(log.size(), 2u);
+    ASSERT_EQ(log[1].kind, IoOpKind::Write);
+    const std::string kept = log[1].data;
+    EXPECT_GT(kept.size(), 0u);
+    EXPECT_LT(kept.size(), payload.size());
+    EXPECT_EQ(kept, payload.substr(0, kept.size()));
+    EXPECT_EQ(slurp(path), kept);
     hostRemoveBestEffort(path);
 }
 
