@@ -59,6 +59,15 @@ FileSystem::loadState(ChunkReader &in)
 {
     nextBlock = in.u64();
     std::uint64_t count = in.u64();
+    // Each file takes a u32 id and two u64s; a count the payload
+    // cannot hold is damage, checked before the reserve.
+    constexpr std::size_t fileBytes = 4 + 8 + 8;
+    if (count > in.remaining() / fileBytes) {
+        throw CheckpointError(msg() << "file system claims " << count
+                                    << " files but only "
+                                    << in.remaining()
+                                    << " bytes remain");
+    }
     files.clear();
     files.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -126,7 +126,8 @@ class CounterSink
         SW_CHECK(banks.empty(),
                  "CounterSink::loadState with live service banks");
         globalBank.loadState(in);
-        cycleModeValue = ExecMode(in.u8());
+        cycleModeValue =
+            checkpointExecMode(in.u8(), "counter sink cycle mode");
         cycleTagValue = in.u32();
     }
 
