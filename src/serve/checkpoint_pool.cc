@@ -116,12 +116,35 @@ CheckpointPool::recover()
                   return a.second < b.second;
               });
 
+    // An image in another checkpoint format (the pool key leaves the
+    // format version out) would fail the first matching warm start
+    // with CheckpointMismatch, costing that job its retry or its
+    // result. Such generations are dropped; the rest stay unread.
+    auto staleFormat = [](const std::string &path) {
+        std::uint16_t version = peekCheckpointVersion(path);
+        return version != 0 && version != checkpointFormatVersion;
+    };
+    std::size_t stale = 0;
     for (const std::string &name : poolFiles) {
         std::uint64_t key = 0;
         parseKeyPrefix(name, key);
+        std::string path = poolPath(key);
+        for (const std::string &generation :
+             {path, checkpointPreviousGeneration(path)}) {
+            if (staleFormat(generation)) {
+                hostRemoveBestEffort(generation);
+                ++stale;
+            }
+        }
+        if (!hostFileExists(path))
+            continue;  // A current rotated generation is handled below.
         if (!sizes.count(key))
             lru.push_back(key);
         refreshSizeLocked(key);
+    }
+    if (stale > 0) {
+        inform(msg() << "checkpoint pool: dropped " << stale
+                     << " image(s) in another checkpoint format");
     }
 
     auto verifies = [](const std::string &path) {
