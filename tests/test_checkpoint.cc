@@ -571,8 +571,11 @@ std::string
 autosaveWithChunk(const std::string &file, const char *name,
                   ChunkWriter &&payload)
 {
-    static const CheckpointImage source = [] {
-        const std::string path = scratch("load-checks-source.ckpt");
+    // ctest runs each case as its own process in one directory, so
+    // the source autosave is named after the caller's file: a fixed
+    // name would let concurrent cases remove each other's source.
+    static const CheckpointImage source = [&file] {
+        const std::string path = scratch("source-" + file);
         removeCheckpoint(path);
         std::unique_ptr<System> reference =
             makeSystem(CpuModel::InOrder);
