@@ -92,6 +92,7 @@ RunSpec &
 ExperimentSpec::add(Benchmark bench, const SystemConfig &config,
                     double scale, const std::string &variant)
 {
+    checkWorkloadScale(scale);
     RunSpec spec;
     spec.bench = bench;
     spec.variant = variant;

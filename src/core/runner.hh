@@ -72,7 +72,7 @@ struct RunSpec
 /** Declarative description of a whole experiment. */
 struct ExperimentSpec
 {
-    /** Experiment name ("fig5", "fault-sweep", ...). */
+    /** Experiment name ("paper", "fault-sweep", ...). */
     std::string title;
 
     std::vector<RunSpec> runs;
@@ -153,7 +153,11 @@ struct ExperimentSpec
      */
     CancelToken *cancel = nullptr;
 
-    /** Append one run and return it for further tweaking. */
+    /**
+     * Append one run and return it for further tweaking. fatal() on a
+     * scale outside (0, 1e6] (checkWorkloadScale), so a harness fails
+     * before it simulates anything.
+     */
     RunSpec &add(Benchmark bench, const SystemConfig &config,
                  double scale = 1.0, const std::string &variant = "");
 

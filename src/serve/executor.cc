@@ -57,10 +57,7 @@ parseServeSpec(const std::string &text, RunSpec &spec,
         std::string variant = cfg.getString("variant", "");
         double deadlineS = cfg.getDouble("deadline_s", 0.0);
         double graceS = cfg.getDouble("grace_s", 0.0);
-        if (!(scale > 0.0) || scale > 1e6) {
-            fatal(msg() << "spec: scale must be in (0, 1e6] (got "
-                        << scale << ")");
-        }
+        checkWorkloadScale(scale);
         spec.bench = benchmarkByName(name);
         spec.variant = variant;
         spec.scale = scale;

@@ -191,6 +191,15 @@ scaleWorkload(WorkloadSpec spec, double factor)
     return spec;
 }
 
+void
+checkWorkloadScale(double factor)
+{
+    if (!(factor > 0.0) || factor > 1e6) {
+        fatal(msg() << "config: scale must be in (0, 1e6] (got "
+                    << factor << ")");
+    }
+}
+
 Workload::Workload(const WorkloadSpec &spec)
     : wlSpec(spec), rng(spec.seed)
 {

@@ -228,6 +228,14 @@ WorkloadSpec benchmarkSpec(Benchmark b);
  */
 WorkloadSpec scaleWorkload(WorkloadSpec spec, double factor);
 
+/**
+ * fatal() unless @p factor lies in (0, 1e6]. scaleWorkload converts
+ * each scaled count to an integer, which is undefined for NaN,
+ * negative and overly large products, so every entry point taking a
+ * scale= from outside checks it here first.
+ */
+void checkWorkloadScale(double factor);
+
 } // namespace softwatt
 
 #endif // SOFTWATT_WORKLOAD_WORKLOAD_HH

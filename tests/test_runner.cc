@@ -7,6 +7,7 @@
  */
 
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -248,6 +249,22 @@ TEST(Runner, AddSuiteCoversAllBenchmarks)
         EXPECT_EQ(rs.variant, "v");
         EXPECT_EQ(rs.scale, 0.5);
     }
+}
+
+TEST(Runner, AddRejectsOutOfRangeScale)
+{
+    ExperimentSpec spec;
+    ScopedErrorHandler firewall(throwingErrorHandler);
+    for (double scale : {0.0, -1.0, 1e7,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+        EXPECT_THROW(spec.add(Benchmark::Jess, SystemConfig{}, scale),
+                     SimError)
+            << scale;
+    }
+    EXPECT_TRUE(spec.runs.empty());
+    spec.add(Benchmark::Jess, SystemConfig{}, 1e6);
+    EXPECT_EQ(spec.runs.size(), 1u);
 }
 
 TEST(ParseArgs, MalformedArgumentsReportThroughErrorHandler)

@@ -593,8 +593,13 @@ TEST(ServeSpec, RejectsBadSpecsWithoutTerminating)
     EXPECT_FALSE(
         parseServeSpec("bench=nosuch", spec, bench, error));
 
-    EXPECT_FALSE(
-        parseServeSpec("bench=jess scale=0", spec, bench, error));
+    for (const char *bad :
+         {"bench=jess scale=0", "bench=jess scale=nan",
+          "bench=jess scale=-1", "bench=jess scale=inf",
+          "bench=jess scale=1e7"}) {
+        EXPECT_FALSE(parseServeSpec(bad, spec, bench, error)) << bad;
+        EXPECT_NE(error.find("scale"), std::string::npos) << bad;
+    }
 
     EXPECT_FALSE(parseServeSpec("bench=jess bogus_key=1", spec,
                                 bench, error));
