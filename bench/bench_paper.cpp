@@ -172,7 +172,7 @@ table5(std::ostream &out, const ExperimentResult &result, double scale)
         << scale << ")\n\n";
     std::array<ServiceStats, numServices> pooled =
         result.pooledServiceStats();
-    printTable5(out, pooled, result.freqHz());
+    printTable5(out, pooled);
 
     double internal = std::max(
         {pooled[int(ServiceKind::Utlb)].coeffOfDeviationPct(),

@@ -73,22 +73,14 @@ main(int argc, char **argv)
     printModePower(std::cout, "Average power per mode (Fig. 6 style)",
                    run.breakdown);
     std::cout << '\n';
-    printTable4(std::cout, run.name,
-                [&] {
-                    std::array<ServiceStats, numServices> all{};
-                    for (ServiceKind k : allServices)
-                        all[int(k)] = sys.kernel().serviceStats(k);
-                    return all;
-                }());
+    std::array<ServiceStats, numServices> services{};
+    for (ServiceKind k : allServices)
+        services[int(k)] = sys.kernel().serviceStats(k);
+    printTable4(std::cout, run.name, services);
     std::cout << '\n';
-    {
-        std::array<ServiceStats, numServices> all{};
-        for (ServiceKind k : allServices)
-            all[int(k)] = sys.kernel().serviceStats(k);
-        printTable5(std::cout, all, freq);
-        std::cout << '\n';
-        printServicePower(std::cout, all, freq);
-    }
+    printTable5(std::cout, services);
+    std::cout << '\n';
+    printServicePower(std::cout, services, freq);
     std::cout << "\nDisk energy (this config): " << sys.diskEnergyJ()
               << " J; as conventional disk: "
               << sys.diskEnergyConventionalJ() << " J\n";

@@ -225,10 +225,8 @@ printTable4(std::ostream &out, const std::string &name,
 
 void
 printTable5(std::ostream &out,
-            const std::array<ServiceStats, numServices> &pooled,
-            double freq_hz)
+            const std::array<ServiceStats, numServices> &pooled)
 {
-    (void)freq_hz;
     out << "Table 5: Variation in Behavior of Operating System "
            "Services\n";
     out << std::left << std::setw(14) << "  service" << std::right

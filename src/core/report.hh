@@ -56,8 +56,7 @@ void printTable4(std::ostream &out, const std::string &name,
 
 /** Print Table 5: per-invocation energy mean and CoD per service. */
 void printTable5(std::ostream &out,
-                 const std::array<ServiceStats, numServices> &pooled,
-                 double freq_hz);
+                 const std::array<ServiceStats, numServices> &pooled);
 
 /** Print Figure 8: average power of key services, by component. */
 void printServicePower(

@@ -83,7 +83,7 @@ TEST(Report, Table5AndFig8Render)
     stats[int(ServiceKind::Utlb)].record(21, 2.1e-7);
     stats[int(ServiceKind::Read)].record(3000, 8e-5);
     std::ostringstream out;
-    printTable5(out, stats, 200e6);
+    printTable5(out, stats);
     printServicePower(out, stats, 200e6);
     EXPECT_NE(out.str().find("utlb"), std::string::npos);
     EXPECT_NE(out.str().find("CoD"), std::string::npos);
