@@ -17,6 +17,10 @@
  * autosave squashes the instruction in flight, so its digest pins the
  * ticks at which checkpoints are taken, and the row also pins the
  * digest of its final autosave file (the checkpoint format itself).
+ * A second autosaving in-order row runs the managed path: 2000-cycle
+ * windows under the DVFS governor with an adaptive spin-down disk,
+ * so it pins a sample log of thousands of windows, the governor's
+ * steps and throttled cycles, and a disk spin-up, in both its digests.
  * Any change to a
  * simulated output changes a digest. On a mismatch the test names the
  * run and prints the whole recomputed table; a deliberate regeneration
@@ -85,6 +89,7 @@ const GoldenRun goldenTable[] = {
     {"jess", "cpu.model=inorder deadline_s=0.00041", 0xe3902fa82f9b6b27ull, RunOutcome::DeadlineExceeded},
     {"jess", "cpu.model=inorder max_cycles=70001", 0x23af39cb68b8217full, RunOutcome::WatchdogExpired},
     {"jess", "cpu.model=inorder checkpoint_every_s=0.0002", 0x9649ee3219cb64ffull, RunOutcome::Completed, 0x9783f496ca07534cull},
+    {"jess", "cpu.model=inorder disk.config=spindown disk.threshold_s=0.001 adaptive_spindown=1 dvfs=1 power_budget_w=6 sample_window=2000 checkpoint_every_s=0.001", 0xe97f58ba86254218ull, RunOutcome::Completed, 0x1bcf0cf0c9ffc748ull},
 };
 // clang-format on
 
