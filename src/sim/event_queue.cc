@@ -57,14 +57,18 @@ EventQueue::nextEventTick() const
 }
 
 void
-EventQueue::advanceTo(Tick target)
+EventQueue::runDue(Tick limit)
 {
-    SW_CHECK(target >= currentTick,
-             "advanceTo: time would move backwards");
-    while (true) {
-        skipCancelled();
-        if (heap.empty() || heap.top().when > target)
-            break;
+    // The due check comes first: System::run advances one tick at a
+    // time and most ticks have nothing due, so only an entry that
+    // would otherwise run is looked up in the cancelled set.
+    while (!heap.empty() && heap.top().when <= limit) {
+        auto it = cancelled.find(heap.top().id);
+        if (it != cancelled.end()) {
+            cancelled.erase(it);
+            heap.pop();
+            continue;
+        }
         Entry entry = heap.top();
         heap.pop();
         --liveCount;
@@ -72,6 +76,14 @@ EventQueue::advanceTo(Tick target)
         ++executedCount;
         entry.cb();
     }
+}
+
+void
+EventQueue::advanceTo(Tick target)
+{
+    SW_CHECK(target >= currentTick,
+             "advanceTo: time would move backwards");
+    runDue(target);
     currentTick = target;
 }
 
@@ -112,17 +124,7 @@ EventQueue::restoreEvent(Tick when, EventId id, Callback cb)
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    while (true) {
-        skipCancelled();
-        if (heap.empty() || heap.top().when > limit)
-            break;
-        Entry entry = heap.top();
-        heap.pop();
-        --liveCount;
-        currentTick = entry.when;
-        ++executedCount;
-        entry.cb();
-    }
+    runDue(limit);
     if (limit != maxTick && limit > currentTick)
         currentTick = limit;
     return currentTick;

@@ -124,6 +124,10 @@ class EventQueue
 
     /** Drop cancelled entries sitting at the top of the heap. */
     void skipCancelled();
+
+    /** Run, in order, every live entry due at or before @p limit,
+     *  dropping the cancelled ones among them. */
+    void runDue(Tick limit);
 };
 
 } // namespace softwatt

@@ -63,6 +63,22 @@ TEST(EventQueue, CancelPreventsExecution)
     q.cancel(id);
     q.runUntil(100);
     EXPECT_EQ(fired, 1);
+
+    // A far-future cancelled event sits at the top of the heap while
+    // advanceTo steps one tick at a time with nothing due; the live
+    // event behind it still runs at its own tick, and the cancelled
+    // one never runs.
+    auto far = q.schedule(5000, [&] { fired += 100; });
+    Tick live_at = 0;
+    q.schedule(5001, [&] { live_at = q.now(); });
+    q.cancel(far);
+    for (Tick t = 101; t <= 6000; ++t)
+        q.advanceTo(t);
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(live_at, 5001u);
+    EXPECT_EQ(q.eventsExecuted(), 2u);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.nextEventTick(), maxTick);
 }
 
 TEST(EventQueue, CancelIsIdempotent)
