@@ -272,16 +272,15 @@ System::closeWindow(Tick end_tick)
     record.vdd = currentVdd();
     record.counters = sink.global();
     totalsBank.accumulate(record.counters);
-    sampleLog.append(std::move(record));
+    sampleLog.append(record);
     sink.global().clear();
     windowStart = end_tick;
 
     // Stream the window through the incremental power pass and
     // publish it as the machine's power reading before the invariant
     // sweep, so the sweep can check the stream against the log.
-    const SampleRecord &rec = sampleLog.all().back();
-    const WindowPower &wp = stream->onWindow(rec);
-    updateMeter(rec, wp);
+    const WindowPower &wp = stream->onWindow(record);
+    updateMeter(record, wp);
     runPowerPolicies();
 
     checker.checkAll("sample-boundary");

@@ -120,6 +120,13 @@ class ChunkWriter
 
     void str(const std::string &text);
 
+    /** Append @p n bytes as they are, with no length prefix. */
+    void
+    raw(const std::uint8_t *bytes, std::size_t n)
+    {
+        buffer.insert(buffer.end(), bytes, bytes + n);
+    }
+
     /** Capacity hint for @p n more bytes; writes nothing. */
     void reserve(std::size_t n) { buffer.reserve(buffer.size() + n); }
 
@@ -179,6 +186,20 @@ class ChunkReader
     double f64();
 
     std::string str();
+
+    /** The next @p n bytes, in place; ChunkWriter::raw's mirror. */
+    const std::uint8_t *
+    raw(std::size_t n)
+    {
+        need(n);
+        const std::uint8_t *at = data.data() + cursor;
+        cursor += n;
+        return at;
+    }
+
+    /** The remaining() bytes not yet consumed, in place; consumes
+     *  nothing. */
+    const std::uint8_t *unread() const { return data.data() + cursor; }
 
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return data.size() - cursor; }

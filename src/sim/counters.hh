@@ -112,6 +112,13 @@ class CounterBank
         values[static_cast<int>(mode)][static_cast<int>(id)] += n;
     }
 
+    /** Overwrite one cell. */
+    void
+    set(ExecMode mode, CounterId id, std::uint64_t value)
+    {
+        values[static_cast<int>(mode)][static_cast<int>(id)] = value;
+    }
+
     /** Read one cell. */
     std::uint64_t
     get(ExecMode mode, CounterId id) const

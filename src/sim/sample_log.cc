@@ -1,11 +1,11 @@
 #include "sample_log.hh"
 
 #include <charconv>
+#include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
-
-#include "sim/checkpoint.hh"
+#include <string>
+#include <string_view>
 
 #include "logging.hh"
 
@@ -14,6 +14,117 @@ namespace softwatt
 
 namespace
 {
+
+/** A window's fixed-width head: two ticks, the operating point and
+ *  the bank mode. Its cells follow. */
+constexpr std::size_t windowHeadBytes = 4 * 8 + 4;
+
+constexpr int cellsPerWindow = numExecModes * numCounters;
+
+/** Longest varint of a 64-bit value: ten groups of seven bits. */
+constexpr std::size_t maxVarintBytes = 10;
+
+std::uint64_t
+getLe(const std::uint8_t *at, int n)
+{
+    std::uint64_t value = 0;
+    for (int i = 0; i < n; ++i)
+        value |= std::uint64_t(at[i]) << (8 * i);
+    return value;
+}
+
+double
+getF64(const std::uint8_t *at)
+{
+    std::uint64_t bits = getLe(at, 8);
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+}
+
+/** The varint at @p at, which the caller knows to be well formed;
+ *  @p at moves past it. */
+std::uint64_t
+getVarint(const std::uint8_t *&at)
+{
+    std::uint64_t value = *at++;
+    if (value < 0x80)
+        return value;
+    value &= 0x7f;
+    for (int shift = 7;; shift += 7) {
+        std::uint8_t byte = *at++;
+        value |= std::uint64_t(byte & 0x7f) << shift;
+        if (byte < 0x80)
+            return value;
+    }
+}
+
+/**
+ * Decode the window at @p at into @p out and return the byte after
+ * it. The bytes were written by SampleLog::append or passed
+ * checkedWindowEnd, so nothing is checked here.
+ */
+const std::uint8_t *
+decodeWindow(const std::uint8_t *at, SampleRecord &out)
+{
+    out.startTick = getLe(at, 8);
+    out.endTick = getLe(at + 8, 8);
+    out.freqMhz = getF64(at + 16);
+    out.vdd = getF64(at + 24);
+    out.counters.setMode(ExecMode(getLe(at + 32, 4)));
+    at += windowHeadBytes;
+    for (int m = 0; m < numExecModes; ++m) {
+        for (int c = 0; c < numCounters; ++c)
+            out.counters.set(ExecMode(m), CounterId(c), getVarint(at));
+    }
+    return at;
+}
+
+[[noreturn]] void
+damagedWindow(std::uint64_t index, const char *what)
+{
+    throw CheckpointError(msg() << "chunk 'sample-log': window "
+                                << index << " " << what);
+}
+
+/**
+ * The byte after the window at @p at, checked as ChunkReader and
+ * CounterBank::loadState check what they decode: nothing past
+ * @p end, a bank mode below numExecModes, and minimal varints of at
+ * most 64 bits. Throws CheckpointError naming window @p index.
+ */
+const std::uint8_t *
+checkedWindowEnd(const std::uint8_t *at, const std::uint8_t *end,
+                 std::uint64_t index)
+{
+    if (std::size_t(end - at) < windowHeadBytes)
+        damagedWindow(index, "is truncated");
+    checkpointExecMode(getLe(at + 32, 4),
+                       "sample log counter bank mode");
+    at += windowHeadBytes;
+    for (int cell = 0; cell < cellsPerWindow; ++cell) {
+        if (at == end)
+            damagedWindow(index, "is truncated");
+        if (*at++ < 0x80)
+            continue;
+        // A longer varint: its last byte is the first below 0x80.
+        for (std::size_t len = 2;; ++len) {
+            if (at == end)
+                damagedWindow(index, "is truncated");
+            std::uint8_t byte = *at++;
+            // The tenth byte holds bit 63 only: anything more
+            // overflows.
+            if (len == maxVarintBytes && byte > 1)
+                damagedWindow(index, "has a varint over 64 bits");
+            if (byte < 0x80) {
+                if (byte == 0)
+                    damagedWindow(index, "has an overlong varint");
+                break;
+            }
+        }
+    }
+    return at;
+}
 
 /**
  * Shortest round-trip decimal form of a double (std::to_chars), so
@@ -27,28 +138,106 @@ csvDouble(double value)
     return std::string(buf, res.ptr);
 }
 
+/** The comma-separated fields of one CSV row, in order. */
+class CsvFields
+{
+  public:
+    explicit CsvFields(std::string_view row) : rest(row) {}
+
+    /** The next field; false once the row has none left. */
+    bool
+    next(std::string_view &field)
+    {
+        if (exhausted)
+            return false;
+        std::size_t comma = rest.find(',');
+        field = rest.substr(0, comma);
+        if (comma == std::string_view::npos)
+            exhausted = true;
+        else
+            rest.remove_prefix(comma + 1);
+        return true;
+    }
+
+    /**
+     * Parse the next field whole as @p value (std::from_chars reads
+     * writeCsv's to_chars doubles exactly); false when it is missing,
+     * malformed, negative for an unsigned @p value, or out of range.
+     */
+    template <typename T>
+    bool
+    next(T &value)
+    {
+        std::string_view field;
+        if (!next(field))
+            return false;
+        const char *last = field.data() + field.size();
+        auto [ptr, ec] = std::from_chars(field.data(), last, value);
+        return ec == std::errc() && ptr == last;
+    }
+
+  private:
+    std::string_view rest;
+    bool exhausted = false;
+};
+
 } // namespace
+
+SampleLog::WindowIterator::WindowIterator(const std::uint8_t *at,
+                                          const std::uint8_t *end)
+    : next(at), end(end)
+{
+    ++*this;
+}
+
+SampleLog::WindowIterator &
+SampleLog::WindowIterator::operator++()
+{
+    if (next == end)
+        done = true;
+    else
+        next = decodeWindow(next, record);
+    return *this;
+}
+
+SampleLog::WindowIterator
+SampleLog::Windows::begin() const
+{
+    const std::vector<std::uint8_t> &bytes = log.windows.bytes();
+    return WindowIterator(bytes.data(), bytes.data() + bytes.size());
+}
+
+void
+SampleLog::append(const SampleRecord &record)
+{
+    offsets.push_back(windows.bytes().size());
+    windows.u64(record.startTick);
+    windows.u64(record.endTick);
+    windows.f64(record.freqMhz);
+    windows.f64(record.vdd);
+    record.counters.saveState(windows);
+}
+
+SampleRecord
+SampleLog::at(std::size_t i) const
+{
+    SampleRecord record;
+    decodeWindow(windows.bytes().data() + offsets.at(i), record);
+    return record;
+}
 
 void
 SampleLog::saveState(ChunkWriter &out) const
 {
-    out.u64(records.size());
-    out.reserve(records.size() * minRecordBytes);
-    for (const SampleRecord &rec : records) {
-        out.u64(rec.startTick);
-        out.u64(rec.endTick);
-        out.f64(rec.freqMhz);
-        out.f64(rec.vdd);
-        rec.counters.saveState(out);
-    }
+    out.u64(size());
+    out.raw(windows.bytes().data(), windows.bytes().size());
 }
 
 void
 SampleLog::loadState(ChunkReader &in)
 {
-    records.clear();
     std::uint64_t count = in.u64();
-    // Checked before the reserve: a damaged count must fail as
+    // Checked before any allocation: a damaged count must fail as
     // checkpoint damage, not as an allocation failure.
     if (count > in.remaining() / minRecordBytes) {
         throw CheckpointError(msg() << "sample log claims " << count
@@ -56,23 +245,29 @@ SampleLog::loadState(ChunkReader &in)
                                     << in.remaining()
                                     << " bytes remain");
     }
-    records.reserve(count);
+    // Every window is checked in place before the log changes; the
+    // bytes are then kept as they are.
+    const std::uint8_t *begin = in.unread();
+    const std::uint8_t *end = begin + in.remaining();
+    std::vector<std::size_t> starts;
+    starts.reserve(count);
+    const std::uint8_t *at = begin;
     for (std::uint64_t i = 0; i < count; ++i) {
-        SampleRecord rec;
-        rec.startTick = in.u64();
-        rec.endTick = in.u64();
-        rec.freqMhz = in.f64();
-        rec.vdd = in.f64();
-        rec.counters.loadState(in);
-        records.push_back(std::move(rec));
+        starts.push_back(std::size_t(at - begin));
+        at = checkedWindowEnd(at, end, i);
     }
+    std::size_t length = std::size_t(at - begin);
+    ChunkWriter kept;
+    kept.raw(in.raw(length), length);
+    windows = std::move(kept);
+    offsets = std::move(starts);
 }
 
 CounterBank
 SampleLog::totals() const
 {
     CounterBank bank;
-    for (const auto &rec : records)
+    for (const SampleRecord &rec : all())
         bank.accumulate(rec.counters);
     return bank;
 }
@@ -81,7 +276,7 @@ Cycles
 SampleLog::totalCycles() const
 {
     Cycles sum = 0;
-    for (const auto &rec : records)
+    for (const SampleRecord &rec : all())
         sum += rec.length();
     return sum;
 }
@@ -93,8 +288,8 @@ SampleLog::writeCsv(std::ostream &out) const
     for (int c = 0; c < numCounters; ++c)
         out << ',' << counterName(static_cast<CounterId>(c));
     out << '\n';
-    for (std::size_t w = 0; w < records.size(); ++w) {
-        const auto &rec = records[w];
+    std::size_t w = 0;
+    for (const SampleRecord &rec : all()) {
         for (ExecMode mode : allExecModes) {
             out << w << ',' << rec.startTick << ',' << rec.endTick << ','
                 << csvDouble(rec.freqMhz) << ','
@@ -106,6 +301,7 @@ SampleLog::writeCsv(std::ostream &out) const
             }
             out << '\n';
         }
+        ++w;
     }
 }
 
@@ -124,29 +320,15 @@ SampleLog::readCsv(std::istream &in, SampleLog &out)
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        std::istringstream row(line);
-        std::string field;
-
-        if (!std::getline(row, field, ','))
+        CsvFields row(line);
+        std::size_t window;
+        Tick start, end;
+        double freq_mhz, vdd;
+        std::string_view mode_name; // row order is fixed
+        if (!row.next(window) || !row.next(start) || !row.next(end) ||
+            !row.next(freq_mhz) || !row.next(vdd) ||
+            !row.next(mode_name))
             return false;
-        std::size_t window = std::stoull(field);
-
-        if (!std::getline(row, field, ','))
-            return false;
-        Tick start = std::stoull(field);
-        if (!std::getline(row, field, ','))
-            return false;
-        Tick end = std::stoull(field);
-
-        if (!std::getline(row, field, ','))
-            return false;
-        double freq_mhz = std::stod(field);
-        if (!std::getline(row, field, ','))
-            return false;
-        double vdd = std::stod(field);
-
-        if (!std::getline(row, field, ','))
-            return false; // mode name; row order is fixed
 
         if (!have_window || window != current_window) {
             if (have_window)
@@ -165,10 +347,11 @@ SampleLog::readCsv(std::istream &in, SampleLog &out)
         ExecMode mode = allExecModes[mode_index++];
 
         for (int c = 0; c < numCounters; ++c) {
-            if (!std::getline(row, field, ','))
+            std::uint64_t value;
+            if (!row.next(value))
                 return false;
             current.counters.addTo(mode, static_cast<CounterId>(c),
-                                   std::stoull(field));
+                                   value);
         }
     }
     if (have_window)

@@ -12,19 +12,17 @@
 #ifndef SOFTWATT_SIM_SAMPLE_LOG_HH
 #define SOFTWATT_SIM_SAMPLE_LOG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
 #include <vector>
 
+#include "checkpoint.hh"
 #include "counters.hh"
 #include "types.hh"
 
 namespace softwatt
 {
-
-class ChunkWriter;
-class ChunkReader;
 
 /** One sampling window of the simulation log. */
 struct SampleRecord
@@ -51,25 +49,73 @@ struct SampleRecord
 /**
  * Append-only store of sampled counter windows.
  *
- * Held in memory during simulation; can be serialized to CSV so the
- * power pass can also run against an on-disk log, mirroring the
- * SimOS log-file workflow.
+ * Each window is stored once, in one byte buffer, in the encoding a
+ * checkpoint gives it: both ticks, the operating point, then
+ * CounterBank::saveState (the bank mode and one varint per cell).
+ * Most cells are zero and take one byte, so a window takes about a
+ * sixth of a SampleRecord, and an autosave copies the buffer instead
+ * of re-encoding the log. A window is decoded only when a reader asks
+ * for it.
+ *
+ * Can be serialized to CSV so the power pass can also run against an
+ * on-disk log, mirroring the SimOS log-file workflow.
  */
 class SampleLog
 {
   public:
-    /** Append a completed window. */
-    void
-    append(SampleRecord record)
+    /** The end of a Windows range. */
+    struct WindowsEnd
     {
-        records.push_back(std::move(record));
-    }
+    };
 
-    const std::vector<SampleRecord> &all() const { return records; }
+    /**
+     * Input iterator over the windows in order. It decodes each
+     * window once, into a record it keeps, so a loop over the whole
+     * log fills one record.
+     */
+    class WindowIterator
+    {
+      public:
+        WindowIterator(const std::uint8_t *at, const std::uint8_t *end);
 
-    std::size_t size() const { return records.size(); }
-    bool empty() const { return records.empty(); }
-    const SampleRecord &at(std::size_t i) const { return records.at(i); }
+        const SampleRecord &operator*() const { return record; }
+        const SampleRecord *operator->() const { return &record; }
+        WindowIterator &operator++();
+        bool operator==(WindowsEnd) const { return done; }
+
+      private:
+        SampleRecord record;
+        const std::uint8_t *next;
+        const std::uint8_t *end;
+        bool done = false;
+    };
+
+    /** Every window, oldest first, decoded as it is visited. */
+    class Windows
+    {
+      public:
+        explicit Windows(const SampleLog &log) : log(log) {}
+
+        WindowIterator begin() const;
+        WindowsEnd end() const { return {}; }
+
+        /** The newest window; the log must not be empty. */
+        SampleRecord back() const { return log.at(log.size() - 1); }
+
+      private:
+        const SampleLog &log;
+    };
+
+    /** Append a completed window. */
+    void append(const SampleRecord &record);
+
+    Windows all() const { return Windows(*this); }
+
+    std::size_t size() const { return offsets.size(); }
+    bool empty() const { return offsets.empty(); }
+
+    /** Window @p i, decoded; throws std::out_of_range past the end. */
+    SampleRecord at(std::size_t i) const;
 
     /** Sum every window into a single counter bank. */
     CounterBank totals() const;
@@ -83,7 +129,11 @@ class SampleLog
     /** Parse a CSV produced by writeCsv(). Returns false on error. */
     static bool readCsv(std::istream &in, SampleLog &out);
 
-    /** Checkpointing: every closed window, bit-exact. */
+    /**
+     * Checkpointing: the window count, then the stored windows as
+     * they are. Loading checks every window as a decoder would, and
+     * leaves the log unchanged when one is damaged.
+     */
     void saveState(ChunkWriter &out) const;
     void loadState(ChunkReader &in);
 
@@ -93,7 +143,10 @@ class SampleLog
     static constexpr std::size_t minRecordBytes =
         4 * 8 + CounterBank::minEncodedBytes;
 
-    std::vector<SampleRecord> records;
+    /** Every window's encoding, back to back. */
+    ChunkWriter windows;
+    /** Where each window starts in windows.bytes(). */
+    std::vector<std::size_t> offsets;
 };
 
 } // namespace softwatt

@@ -204,6 +204,50 @@ Bank::loadState(ChunkReader &in)
               std::string::npos);
 }
 
+TEST(Analyze, PairsRawBytesAndIgnoresUnread)
+{
+    // raw() moves bytes on both sides; unread() only looks at them.
+    const char *clean = R"(
+class Blob
+{
+  public:
+    void saveState(ChunkWriter &out) const;
+    void loadState(ChunkReader &in);
+
+  private:
+    std::vector<std::uint8_t> bytes;
+};
+
+void
+Blob::saveState(ChunkWriter &out) const
+{
+    out.u64(bytes.size());
+    out.raw(bytes.data(), bytes.size());
+}
+
+void
+Blob::loadState(ChunkReader &in)
+{
+    std::uint64_t n = in.u64();
+    const std::uint8_t *first = in.unread();
+    bytes.assign(first, first + n);
+    in.raw(n);
+}
+)";
+    auto findings = run({{"src/sim/blob.hh", clean}});
+    EXPECT_TRUE(withRule(findings, "save-load-symmetry").empty());
+
+    std::string skewed = clean;
+    skewed.replace(skewed.find("in.raw(n)"), 9, "in.u64()");
+    findings = run({{"src/sim/blob.hh", skewed}});
+    auto symmetry = withRule(findings, "save-load-symmetry");
+    ASSERT_EQ(symmetry.size(), 1u);
+    EXPECT_NE(symmetry[0].message.find("'raw'"), std::string::npos);
+    EXPECT_NE(symmetry[0].message.find("'u64'"), std::string::npos);
+    EXPECT_NE(symmetry[0].message.find("position 2"),
+              std::string::npos);
+}
+
 TEST(Analyze, FlagsSaveLoadCountMismatch)
 {
     const char *source = R"(
