@@ -79,7 +79,6 @@ class SampleLog
         WindowIterator(const std::uint8_t *at, const std::uint8_t *end);
 
         const SampleRecord &operator*() const { return record; }
-        const SampleRecord *operator->() const { return &record; }
         WindowIterator &operator++();
         bool operator==(WindowsEnd) const { return done; }
 

@@ -188,6 +188,12 @@ TEST(SampleLog, LoadStateRefusesWhatTheDecoderRefused)
 
     std::vector<std::uint8_t> truncated(good.begin(), good.end() - 1);
 
+    // Cut inside the second window's run of zero cells, which the
+    // check passes eight at a time.
+    const std::size_t window_bytes = (good.size() - 8) / 2;
+    std::vector<std::uint8_t> cut_in_zeros(
+        good.begin(), good.begin() + 8 + window_bytes + 150);
+
     std::vector<std::uint8_t> trailing = good;
     trailing.push_back(0);
 
@@ -200,6 +206,7 @@ TEST(SampleLog, LoadStateRefusesWhatTheDecoderRefused)
         {wide, "over 64 bits"},
         {bad_mode, "execution mode 4 out of range"},
         {truncated, "window 1 is truncated"},
+        {cut_in_zeros, "window 1 is truncated"},
         {trailing, "1 trailing bytes"},
     };
     for (const auto &c : cases) {
