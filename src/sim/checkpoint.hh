@@ -122,13 +122,10 @@ class ChunkWriter
 
     /** Append @p n bytes as they are, with no length prefix. */
     void
-    raw(const std::uint8_t *bytes, std::size_t n)
+    raw(const std::uint8_t *data, std::size_t n)
     {
-        buffer.insert(buffer.end(), bytes, bytes + n);
+        buffer.insert(buffer.end(), data, data + n);
     }
-
-    /** Capacity hint for @p n more bytes; writes nothing. */
-    void reserve(std::size_t n) { buffer.reserve(buffer.size() + n); }
 
     const std::vector<std::uint8_t> &bytes() const { return buffer; }
 
