@@ -28,10 +28,8 @@ runBenchmark(Benchmark bench, const SystemConfig &config, double scale,
     if (options.forceInvariants)
         run.system->invariants().setEnabled(true);
 
-    WorkloadSpec spec = benchmarkSpec(bench);
-    if (scale != 1.0)
-        spec = scaleWorkload(spec, scale);
-    run.system->attachWorkload(std::make_unique<Workload>(spec));
+    run.system->attachWorkload(
+        std::make_unique<Workload>(scaledBenchmarkSpec(bench, scale)));
     if (options.checkpointEverySeconds > 0) {
         run.system->setCheckpointPolicy(options.checkpointEverySeconds,
                                         options.checkpointPath,
@@ -55,16 +53,20 @@ runBenchmark(Benchmark bench, const SystemConfig &config, double scale,
     return run;
 }
 
+WorkloadSpec
+scaledBenchmarkSpec(Benchmark bench, double scale)
+{
+    WorkloadSpec spec = benchmarkSpec(bench);
+    if (scale != 1.0)
+        spec = scaleWorkload(spec, scale);
+    return spec;
+}
+
 std::uint64_t
 machineCheckpointFingerprint(Benchmark bench,
                              const SystemConfig &config, double scale)
 {
-    System system(config);
-    WorkloadSpec spec = benchmarkSpec(bench);
-    if (scale != 1.0)
-        spec = scaleWorkload(spec, scale);
-    system.attachWorkload(std::make_unique<Workload>(spec));
-    return system.checkpointFingerprint();
+    return configFingerprint(config, scaledBenchmarkSpec(bench, scale));
 }
 
 PowerBreakdown

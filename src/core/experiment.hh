@@ -139,13 +139,19 @@ BenchmarkRun runBenchmark(Benchmark bench, const SystemConfig &config,
                           double scale, const RunOptions &options);
 
 /**
- * The machine+workload checkpoint fingerprint a run of (bench,
- * config, scale) would carry, computed without simulating: builds
- * the System and attaches the workload exactly like runBenchmark,
- * then reads System::checkpointFingerprint(). Two specs that agree
- * on this value can exchange machine checkpoints (the fingerprint
- * excludes run management like deadlines, which restore ignores) —
- * this is the key the serve daemon's warm checkpoint pool indexes.
+ * The workload runBenchmark attaches: benchmarkSpec(bench), scaled
+ * by @p scale unless it is 1.0.
+ */
+WorkloadSpec scaledBenchmarkSpec(Benchmark bench, double scale);
+
+/**
+ * The checkpoint fingerprint a run of (bench, config, scale) would
+ * carry: configFingerprint() of the config and the workload
+ * runBenchmark attaches, computed without building the machine. Two
+ * specs that agree on this value can exchange machine checkpoints
+ * (the fingerprint excludes run management like deadlines, which
+ * restore ignores) — this is the key the serve daemon's warm
+ * checkpoint pool indexes.
  */
 std::uint64_t machineCheckpointFingerprint(Benchmark bench,
                                            const SystemConfig &config,

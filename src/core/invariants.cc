@@ -232,7 +232,7 @@ registerSystemInvariants(InvariantChecker &checker, const System &sys)
     checker.add("power.stream-window-match",
                 [&sys, state]() -> std::string {
         const SampleLog &log = sys.log();
-        const PowerTrace &trace = sys.streamTrace();
+        const PowerTrace &trace = sys.powerTrace();
         if (trace.windows.size() != log.size()) {
             return msg() << "stream has " << trace.windows.size()
                          << " window(s) but the log has "
@@ -298,7 +298,7 @@ registerSystemInvariants(InvariantChecker &checker, const System &sys)
     // stream accumulator — O(1) per sweep, no batch recompute.
     checker.add("energy.conservation",
                 [&sys, state]() -> std::string {
-        const PowerTrace &trace = sys.streamTrace();
+        const PowerTrace &trace = sys.powerTrace();
         double total = trace.total.cpuMemEnergyJ();
         if (!invariantApproxEqual(total, state->grandJ))
             return mismatch("cpu+mem total J", total, state->grandJ);

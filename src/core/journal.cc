@@ -1,7 +1,8 @@
 #include "journal.hh"
 
-#include <charconv>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -15,97 +16,6 @@ namespace softwatt
 namespace
 {
 
-/**
- * FNV-1a over a canonical field serialization. Doubles go through
- * std::to_chars (shortest round-trip, locale-free), so the stream —
- * and therefore the fingerprint — is identical across hosts.
- */
-class Fingerprint
-{
-  public:
-    Fingerprint &
-    operator<<(const std::string &text)
-    {
-        for (char c : text)
-            mix(std::uint8_t(c));
-        mix(0x1f);  // field separator: "ab"+"c" != "a"+"bc"
-        return *this;
-    }
-
-    Fingerprint &
-    operator<<(const char *text)
-    {
-        return *this << std::string(text);
-    }
-
-    Fingerprint &
-    operator<<(double value)
-    {
-        char buf[64];
-        auto [end, ec] =
-            std::to_chars(buf, buf + sizeof(buf), value);
-        if (ec != std::errc())
-            panic("specFingerprint: double conversion failed");
-        return *this << std::string(buf, end);
-    }
-
-    Fingerprint &
-    operator<<(std::uint64_t value)
-    {
-        for (int shift = 0; shift < 64; shift += 8)
-            mix(std::uint8_t(value >> shift));
-        mix(0x1f);
-        return *this;
-    }
-
-    Fingerprint &
-    operator<<(std::int64_t value)
-    {
-        return *this << std::uint64_t(value);
-    }
-
-    Fingerprint &
-    operator<<(int value)
-    {
-        return *this << std::uint64_t(std::int64_t(value));
-    }
-
-    Fingerprint &
-    operator<<(bool value)
-    {
-        mix(value ? 1 : 0);
-        mix(0x1f);
-        return *this;
-    }
-
-    std::string
-    hex() const
-    {
-        static const char digits[] = "0123456789abcdef";
-        std::string text(16, '0');
-        for (int i = 0; i < 16; ++i)
-            text[i] = digits[(state >> (60 - 4 * i)) & 0xf];
-        return text;
-    }
-
-  private:
-    void
-    mix(std::uint8_t byte)
-    {
-        state ^= byte;
-        state *= 0x100000001b3ull;
-    }
-
-    std::uint64_t state = 0xcbf29ce484222325ull;
-};
-
-Fingerprint &
-operator<<(Fingerprint &fp, const CacheParams &cache)
-{
-    return fp << std::uint64_t(cache.sizeBytes) << cache.lineBytes
-              << cache.ways << cache.hitLatency;
-}
-
 constexpr const char *journalSchema = "softwatt-journal-v1";
 
 } // namespace
@@ -113,59 +23,27 @@ constexpr const char *journalSchema = "softwatt-journal-v1";
 std::string
 specFingerprint(const RunSpec &spec)
 {
-    Fingerprint fp;
-    fp << benchmarkName(spec.bench) << spec.variant << spec.scale;
+    ChunkWriter w;
+    w.str(benchmarkName(spec.bench));
+    w.str(spec.variant);
+    w.f64(spec.scale);
+    w.u8(std::uint8_t(spec.config.cpuModel));
+    w.f64(spec.config.deadlineSeconds);
+    w.f64(spec.config.shutdownGraceSeconds);
+    writeConfigFields(w, spec.config,
+                      scaledBenchmarkSpec(spec.bench, spec.scale));
 
-    const SystemConfig &c = spec.config;
-    const MachineParams &m = c.machine;
-    fp << m.instWindowSize << m.intRegs << m.fpRegs << m.lsqSize
-       << m.fetchWidth << m.decodeWidth << m.issueWidth
-       << m.commitWidth << m.intAlus << m.fpAlus << m.bhtEntries
-       << m.btbEntries << m.rasEntries
-       << std::uint64_t(m.memorySizeBytes) << m.icache << m.dcache
-       << m.l2cache << m.tlbEntries << m.memoryLatency
-       << m.pageBytes << m.featureSizeUm << m.vdd << m.freqMhz;
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016" PRIx64,
+                  fnv1a64(w.bytes().data(), w.bytes().size()));
+    return hex;
+}
 
-    fp << int(c.cpuModel) << int(c.diskConfig.kind)
-       << c.diskConfig.spindownThresholdSeconds;
-    const DiskFaultConfig &f = c.diskConfig.fault;
-    fp << f.enabled << f.transientErrorRate << f.seekErrorRate
-       << f.spinupFailureRate << f.windowStartSeconds
-       << f.windowEndSeconds << std::uint64_t(f.seed);
-
-    const Kernel::Params &k = c.kernelParams;
-    fp << k.tlbSlowPathProb << k.vfaultProb << k.clockTickSeconds
-       << k.timeScale << std::uint64_t(k.fileCacheBlocks)
-       << k.haltOnIdle << std::uint64_t(k.seed);
-    const ServiceTuning &t = k.tuning;
-    fp << std::uint64_t(t.utlbLength)
-       << std::uint64_t(t.tlbMissLength)
-       << std::uint64_t(t.vfaultLength)
-       << std::uint64_t(t.demandZeroLength)
-       << std::uint64_t(t.cacheflushLength)
-       << std::uint64_t(t.openLength)
-       << std::uint64_t(t.openSyncLength)
-       << std::uint64_t(t.xstatLength)
-       << std::uint64_t(t.duPollLength)
-       << std::uint64_t(t.bsdLength)
-       << std::uint64_t(t.clockLength)
-       << std::uint64_t(t.clockSyncLength)
-       << std::uint64_t(t.ioSyncLength)
-       << std::uint64_t(t.ioSetupLength)
-       << std::uint64_t(t.ioFinishLength)
-       << std::uint64_t(t.errorRecoveryLength)
-       << std::uint64_t(t.errorRecoverySyncLength)
-       << t.openMetadataMissProb;
-    fp << k.diskRetry.maxAttempts << k.diskRetry.backoffSeconds
-       << k.diskRetry.backoffMultiplier;
-
-    fp << c.timeScale << std::uint64_t(c.sampleWindow)
-       << c.useCalibratedPower
-       << std::uint64_t(c.idleFastForwardAfter)
-       << std::uint64_t(c.maxCycles) << c.clockInterrupts
-       << c.deadlineSeconds << c.shutdownGraceSeconds;
-
-    return fp.hex();
+std::string
+journalKey(const std::string &experiment,
+           const std::string &fingerprint)
+{
+    return experiment + '\x1f' + fingerprint;
 }
 
 std::string
@@ -283,9 +161,7 @@ RunJournal::loadLatest(const std::string &path)
     std::vector<JournalEntry> latest;
     std::vector<std::string> keys;
     for (JournalEntry &entry : entries) {
-        std::string key = entry.experiment + '\x1f' + entry.bench +
-                          '\x1f' + entry.variant + '\x1f' +
-                          entry.config;
+        std::string key = journalKey(entry.experiment, entry.config);
         std::size_t slot = keys.size();
         for (std::size_t i = 0; i < keys.size(); ++i) {
             if (keys[i] == key) {

@@ -12,11 +12,16 @@
  * The `run` field holds the exact pretty-printed JSON object that
  * writeJson() would emit for that run, so a resumed experiment can
  * splice journaled runs into the final document byte-identical to an
- * uninterrupted one. The `config` field is a 64-bit FNV-1a
- * fingerprint of the complete run specification (benchmark, variant,
- * scale and every SystemConfig field); resume only replays an entry
- * whose (bench, variant, config) key still matches, so editing the
- * sweep invalidates exactly the runs it changes.
+ * uninterrupted one. The `config` field is specFingerprint(): the
+ * run's identity (benchmark, variant, scale, CPU model, deadline and
+ * grace budgets) followed by writeConfigFields(), the same field list
+ * the checkpoint fingerprint hashes. Resume and the serve daemon
+ * replay only an entry whose journalKey() (experiment title plus
+ * that fingerprint) still matches, so editing the sweep invalidates
+ * exactly the runs it changes. A journal from a build whose
+ * fingerprint covered other fields matches nothing, so its runs
+ * execute again once; that direction is safe, so the schema name
+ * stays softwatt-journal-v1.
  *
  * Each line is flushed as it is written: a SIGKILLed sweep loses at
  * most the in-flight runs, and the reader skips a torn final line.
@@ -49,11 +54,23 @@ struct JournalEntry
 };
 
 /**
- * Deterministic 64-bit fingerprint (16 hex digits) of everything
- * that determines a run's results: benchmark, variant, scale, and
- * the full SystemConfig.
+ * Deterministic 64-bit FNV-1a fingerprint (16 hex digits) of
+ * everything that determines a run's results: benchmark, variant,
+ * scale, CPU model, the deadline and grace budgets, then
+ * writeConfigFields() of the config and the scaled workload. The
+ * checkpoint fingerprint leaves the variant, the CPU model and the
+ * budgets out on purpose (a label, warm-start model switching, run
+ * management); the journal must not replay a run across any of them.
  */
 std::string specFingerprint(const RunSpec &spec);
+
+/**
+ * The identity a journaled run is matched and deduplicated on: the
+ * experiment title and the run's specFingerprint(), which already
+ * hashes the benchmark and variant.
+ */
+std::string journalKey(const std::string &experiment,
+                       const std::string &fingerprint);
 
 /** `<out>.journal.jsonl` for a given out= path. */
 std::string journalPathFor(const std::string &json_path);
@@ -115,12 +132,12 @@ class RunJournal
     load(const std::string &path);
 
     /**
-     * load() deduplicated on the (experiment, bench, variant,
-     * config) identity key: the last occurrence of each key wins
-     * (it reflects the final retry/diagnose state), and keys keep
-     * their first-seen order so replay stays deterministic. This is
-     * the read path for journals that accumulate across process
-     * generations, like the serve daemon's.
+     * load() deduplicated on journalKey(experiment, config): the
+     * last occurrence of each key wins (it reflects the final
+     * retry/diagnose state), and keys keep their first-seen order so
+     * replay stays deterministic. This is the read path for journals
+     * that accumulate across process generations, like the serve
+     * daemon's.
      */
     static std::vector<JournalEntry>
     loadLatest(const std::string &path);

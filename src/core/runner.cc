@@ -722,11 +722,9 @@ runExperiment(const ExperimentSpec &spec)
     }
     auto findJournaled =
         [&](std::size_t i) -> const JournalEntry * {
-        const RunSpec &rs = runs[i];
+        const std::string key = journalKey(spec.title, prints[i]);
         for (const JournalEntry &e : journaled) {
-            if (e.experiment == spec.title &&
-                e.bench == benchmarkName(rs.bench) &&
-                e.variant == rs.variant && e.config == prints[i] &&
+            if (journalKey(e.experiment, e.config) == key &&
                 !e.runJson.empty())
                 return &e;
         }

@@ -600,12 +600,10 @@ System::setCheckpointPolicy(double every_seconds,
     autosavePath = autosave_path;
 }
 
-std::uint64_t
-System::checkpointFingerprint() const
+void
+writeConfigFields(ChunkWriter &w, const SystemConfig &cfg,
+                  const WorkloadSpec &wl)
 {
-    SW_CHECK(workload != nullptr,
-             "checkpoint fingerprint needs an attached workload");
-    ChunkWriter w;
     auto i32 = [&w](int v) { w.u64(std::uint64_t(std::int64_t(v))); };
 
     const MachineParams &m = cfg.machine;
@@ -651,7 +649,7 @@ System::checkpointFingerprint() const
     w.f64(k.tlbSlowPathProb);
     w.f64(k.vfaultProb);
     w.f64(k.clockTickSeconds);
-    w.f64(k.timeScale);
+    w.f64(cfg.timeScale);  // k.timeScale, as System::System sets it
     w.u64(k.fileCacheBlocks);
     w.b(k.haltOnIdle);
     w.u64(k.seed);
@@ -681,7 +679,6 @@ System::checkpointFingerprint() const
     w.b(cfg.dvfsEnabled);
     w.b(cfg.adaptiveSpindown);
 
-    const WorkloadSpec &wl = workload->spec();
     w.str(wl.name);
     w.u64(wl.mainInsts);
     wl.mainSpec.saveState(w);
@@ -708,8 +705,23 @@ System::checkpointFingerprint() const
     for (double frac : wl.coldBurstFracs)
         w.f64(frac);
     w.u64(wl.dataFileBytes);
+}
 
+std::uint64_t
+configFingerprint(const SystemConfig &config,
+                  const WorkloadSpec &workload)
+{
+    ChunkWriter w;
+    writeConfigFields(w, config, workload);
     return fnv1a64(w.bytes().data(), w.bytes().size());
+}
+
+std::uint64_t
+System::checkpointFingerprint() const
+{
+    SW_CHECK(workload != nullptr,
+             "checkpoint fingerprint needs an attached workload");
+    return configFingerprint(cfg, workload->spec());
 }
 
 CheckpointImage
@@ -1066,16 +1078,6 @@ System::dumpStats(std::ostream &out) const
         out << "kernel." << serviceName(kind) << ".invocations "
             << svc.invocations << " # service invocation count\n";
     }
-}
-
-PowerTrace
-System::powerTrace() const
-{
-    // Served from the incremental stream: every sample-log append is
-    // immediately followed by stream->onWindow(), so the accumulator
-    // always equals calculator->process(sampleLog) bit-for-bit (the
-    // batch path is itself a wrapper over the same streaming code).
-    return stream->trace();
 }
 
 double

@@ -127,6 +127,27 @@ struct SystemConfig
     void validate() const;
 };
 
+/**
+ * Append every configuration field a run's simulated results depend
+ * on to @p w, in a fixed order: machine, disk, kernel, sampling and
+ * power-manager settings, then the workload spec. This is the only
+ * listing of those fields; the checkpoint fingerprint hashes exactly
+ * these bytes and specFingerprint() (journal.hh) prefixes them with
+ * the run's identity. It leaves out the CPU model (so a checkpoint
+ * restores across models as a warm start) and the deadline and grace
+ * budgets (run management, which restore ignores); kernel timeScale
+ * is written as the System sets it, from config.timeScale.
+ */
+void writeConfigFields(ChunkWriter &w, const SystemConfig &config,
+                       const WorkloadSpec &workload);
+
+/**
+ * FNV-1a-64 of writeConfigFields(): the fingerprint a checkpoint of
+ * @p config running @p workload carries in its header.
+ */
+std::uint64_t configFingerprint(const SystemConfig &config,
+                                const WorkloadSpec &workload);
+
 /** How a simulation ended. */
 enum class RunOutcome
 {
@@ -268,13 +289,7 @@ class System : public PowerMeter
                machineDisk->checkpointSafe();
     }
 
-    /**
-     * Fingerprint of the checkpoint-relevant configuration: machine,
-     * disk, kernel and sampling parameters plus the workload spec.
-     * Excludes the CPU model (stored separately, to allow warm-start
-     * model switching) and the deadline/grace budgets (host-side
-     * run-management, not machine state).
-     */
+    /** configFingerprint() of this machine and its workload. */
     std::uint64_t checkpointFingerprint() const;
 
     /** Autosave checkpoints written during run(). */
@@ -288,14 +303,13 @@ class System : public PowerMeter
     const CounterBank &totals() const { return totalsBank; }
 
     /**
-     * The power trace of the run so far. Served from the streaming
-     * pass's accumulator (no re-processing); bit-identical to
-     * powerCalculator().process(log()) by construction.
+     * The power trace of the run so far: a live view of the streaming
+     * pass's accumulator (no re-processing), bit-identical to
+     * powerCalculator().process(log()) by construction. Every
+     * sample-log append is immediately followed by
+     * stream->onWindow(), so the view never lags the log.
      */
-    PowerTrace powerTrace() const;
-
-    /** Live view of the streaming pass's accumulated trace. */
-    const PowerTrace &streamTrace() const { return stream->trace(); }
+    const PowerTrace &powerTrace() const { return stream->trace(); }
 
     // PowerMeter: the last closed window's power reading.
     const PowerReading &lastReading() const override

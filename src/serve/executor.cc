@@ -107,9 +107,9 @@ executeServeSpec(RunSpec spec, const ServeExecOptions &options,
             spec.durability = options.durability;
             armed = true;
         } catch (const std::exception &e) {
-            // Fingerprinting constructs the machine; a config the
-            // machine rejects will fail identically in the run
-            // proper, which reports it properly. Run cold here.
+            // Fingerprinting builds only the scaled workload spec;
+            // whatever throws here throws again in the run proper,
+            // which reports it. Run cold here.
             warn(msg() << "serve executor: warm-start disabled for "
                        << "this job (" << e.what() << ")");
             spec.checkpointEveryS = 0.0;

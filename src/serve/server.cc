@@ -36,21 +36,6 @@ durableOutcome(RunOutcome outcome)
            outcome != RunOutcome::Failed;
 }
 
-/** The journal identity key (matches the resume journal's). */
-std::string
-answerKey(const std::string &experiment, const std::string &bench,
-          const std::string &variant, const std::string &fingerprint)
-{
-    std::string key = experiment;
-    key += fieldSep;
-    key += bench;
-    key += fieldSep;
-    key += variant;
-    key += fieldSep;
-    key += fingerprint;
-    return key;
-}
-
 } // namespace
 
 ServeOptions
@@ -164,8 +149,7 @@ ServeServer::start(std::string &error)
             !durableOutcome(outcome)) {
             continue;
         }
-        answers[answerKey(entry.experiment, entry.bench,
-                          entry.variant, entry.config)] =
+        answers[journalKey(entry.experiment, entry.config)] =
             Answer{entry.runJson, entry.attempts, entry.outcome};
     }
     if (!journal.open(journalPath(), /*truncate=*/false,
@@ -351,8 +335,9 @@ ServeServer::handleRun(const std::shared_ptr<Session> &session,
     response.id = request.id;
 
     JobPtr job = std::make_shared<Job>();
+    std::string benchName;
     std::string specError;
-    if (!parseServeSpec(request.spec, job->spec, job->benchName,
+    if (!parseServeSpec(request.spec, job->spec, benchName,
                         specError)) {
         response.status = statusBadRequest;
         response.error = specError;
@@ -361,8 +346,7 @@ ServeServer::handleRun(const std::shared_ptr<Session> &session,
     }
 
     job->fingerprint = specFingerprint(job->spec);
-    job->identity = answerKey(request.experiment, job->benchName,
-                              job->spec.variant, job->fingerprint);
+    job->identity = journalKey(request.experiment, job->fingerprint);
 
     {
         std::lock_guard<std::mutex> lock(answersMutex);

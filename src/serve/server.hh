@@ -150,9 +150,8 @@ class ServeServer
     {
         ServeRequest request;
         RunSpec spec;
-        std::string benchName;
         std::string fingerprint;  ///< specFingerprint(spec)
-        std::string identity;     ///< journal answer key
+        std::string identity;     ///< journalKey() of the answer
         CancelToken cancel;
         std::shared_ptr<Session> session;
         bool hasDeadline = false;

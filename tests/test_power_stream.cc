@@ -128,7 +128,7 @@ TEST(PowerStream, StreamKeepsPaceWithTheLog)
     std::unique_ptr<System> sys =
         makeSystem(smallConfig(), Benchmark::Jess);
     ASSERT_TRUE(sys->run().ok());
-    EXPECT_EQ(sys->streamTrace().windows.size(), sys->log().size());
+    EXPECT_EQ(sys->powerTrace().windows.size(), sys->log().size());
     // The meter published the last window.
     const PowerReading &r = sys->lastReading();
     EXPECT_TRUE(r.valid);
@@ -453,7 +453,7 @@ TEST(PowerStream, CheckpointRestoresMeterGovernorAndSpindown)
         makeSystem(config, Benchmark::Jess, 0.03);
     restored->setCheckpointPolicy(cadence_s, path);
     ASSERT_TRUE(restored->restoreCheckpoint(path));
-    EXPECT_EQ(restored->streamTrace().windows.size(),
+    EXPECT_EQ(restored->powerTrace().windows.size(),
               restored->log().size());
     EXPECT_TRUE(restored->lastReading().valid);
 

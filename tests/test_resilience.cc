@@ -288,25 +288,167 @@ TEST(RunnerResilience, SighupDrainsLikeSigterm)
     EXPECT_EQ(before.sa_handler, after.sa_handler);
 }
 
+namespace
+{
+
+/** One edit of a run spec, named by its own source text. */
+struct SpecEdit
+{
+    const char *what;
+    void (*apply)(RunSpec &);
+};
+
+} // namespace
+
+#define SPEC_EDIT(edit) \
+    SpecEdit { #edit, [](RunSpec &s) { s.edit; } }
+
 TEST(RunnerResilience, SpecFingerprintTracksConfigChanges)
 {
-    RunSpec a;
-    a.bench = Benchmark::Jess;
-    a.scale = 0.05;
-    RunSpec b = a;
-    EXPECT_EQ(specFingerprint(a), specFingerprint(b));
+    // Every field a run's results depend on: both the journal key
+    // (specFingerprint) and the checkpoint key must move.
+    const SpecEdit machineFields[] = {
+        SPEC_EDIT(bench = Benchmark::Db),
+        SPEC_EDIT(scale = 0.06),
+        SPEC_EDIT(config.machine.instWindowSize += 1),
+        SPEC_EDIT(config.machine.intRegs += 1),
+        SPEC_EDIT(config.machine.fpRegs += 1),
+        SPEC_EDIT(config.machine.lsqSize += 1),
+        SPEC_EDIT(config.machine.fetchWidth += 1),
+        SPEC_EDIT(config.machine.decodeWidth += 1),
+        SPEC_EDIT(config.machine.issueWidth += 1),
+        SPEC_EDIT(config.machine.commitWidth += 1),
+        SPEC_EDIT(config.machine.intAlus += 1),
+        SPEC_EDIT(config.machine.fpAlus += 1),
+        SPEC_EDIT(config.machine.bhtEntries *= 2),
+        SPEC_EDIT(config.machine.btbEntries *= 2),
+        SPEC_EDIT(config.machine.rasEntries += 1),
+        SPEC_EDIT(config.machine.memorySizeBytes *= 2),
+        SPEC_EDIT(config.machine.icache.sizeBytes *= 2),
+        SPEC_EDIT(config.machine.icache.lineBytes *= 2),
+        SPEC_EDIT(config.machine.icache.ways *= 2),
+        SPEC_EDIT(config.machine.icache.hitLatency += 1),
+        SPEC_EDIT(config.machine.dcache.sizeBytes *= 2),
+        SPEC_EDIT(config.machine.dcache.lineBytes *= 2),
+        SPEC_EDIT(config.machine.dcache.ways *= 2),
+        SPEC_EDIT(config.machine.dcache.hitLatency += 1),
+        SPEC_EDIT(config.machine.l2cache.sizeBytes *= 2),
+        SPEC_EDIT(config.machine.l2cache.lineBytes *= 2),
+        SPEC_EDIT(config.machine.l2cache.ways *= 2),
+        SPEC_EDIT(config.machine.l2cache.hitLatency += 1),
+        SPEC_EDIT(config.machine.tlbEntries *= 2),
+        SPEC_EDIT(config.machine.memoryLatency += 1),
+        SPEC_EDIT(config.machine.pageBytes *= 2),
+        SPEC_EDIT(config.machine.featureSizeUm = 0.25),
+        SPEC_EDIT(config.machine.vdd = 2.5),
+        SPEC_EDIT(config.machine.freqMhz = 300.0),
+        SPEC_EDIT(config.diskConfig.kind = DiskConfigKind::IdleOnly),
+        SPEC_EDIT(config.diskConfig.spindownThresholdSeconds = 1.0),
+        SPEC_EDIT(config.diskConfig.fault.enabled = true),
+        SPEC_EDIT(config.diskConfig.fault.transientErrorRate = 0.1),
+        SPEC_EDIT(config.diskConfig.fault.seekErrorRate = 0.1),
+        SPEC_EDIT(config.diskConfig.fault.spinupFailureRate = 0.1),
+        SPEC_EDIT(config.diskConfig.fault.windowStartSeconds = 1.0),
+        SPEC_EDIT(config.diskConfig.fault.windowEndSeconds = 9.0),
+        SPEC_EDIT(config.diskConfig.fault.seed += 1),
+        SPEC_EDIT(config.kernelParams.tlbSlowPathProb = 0.02),
+        SPEC_EDIT(config.kernelParams.vfaultProb = 0.5),
+        SPEC_EDIT(config.kernelParams.clockTickSeconds = 0.01),
+        SPEC_EDIT(config.kernelParams.fileCacheBlocks *= 2),
+        SPEC_EDIT(config.kernelParams.haltOnIdle = true),
+        SPEC_EDIT(config.kernelParams.seed += 1),
+        SPEC_EDIT(config.kernelParams.tuning.utlbLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.tlbMissLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.vfaultLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.demandZeroLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.cacheflushLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.openLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.openSyncLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.xstatLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.duPollLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.bsdLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.clockLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.clockSyncLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.ioSyncLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.ioSetupLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.ioFinishLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.errorRecoveryLength += 1),
+        SPEC_EDIT(
+            config.kernelParams.tuning.errorRecoverySyncLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.powerReadLength += 1),
+        SPEC_EDIT(config.kernelParams.tuning.openMetadataMissProb = 0.1),
+        SPEC_EDIT(config.kernelParams.diskRetry.maxAttempts += 1),
+        SPEC_EDIT(config.kernelParams.diskRetry.backoffSeconds = 0.05),
+        SPEC_EDIT(config.kernelParams.diskRetry.backoffMultiplier = 3),
+        SPEC_EDIT(config.timeScale = 50.0),
+        SPEC_EDIT(config.sampleWindow = 2'000),
+        SPEC_EDIT(config.useCalibratedPower = false),
+        SPEC_EDIT(config.idleFastForwardAfter += 1),
+        SPEC_EDIT(config.maxCycles += 1),
+        SPEC_EDIT(config.clockInterrupts = false),
+        SPEC_EDIT(config.powerBudgetW = 5.0),
+        SPEC_EDIT(config.dvfsEnabled = true),
+        SPEC_EDIT(config.adaptiveSpindown = true),
+    };
+    // Run identity the checkpoint leaves out on purpose: a warm start
+    // may switch CPU models, restore ignores run management, and the
+    // variant is only a label.
+    const SpecEdit identityFields[] = {
+        SPEC_EDIT(variant = "x"),
+        SPEC_EDIT(config.cpuModel = CpuModel::InOrder),
+        SPEC_EDIT(config.deadlineSeconds = 1.0),
+        SPEC_EDIT(config.shutdownGraceSeconds = 1.0),
+    };
+    // How a run is stored, not what it computes. The kernel's
+    // timeScale is a copy System::System overwrites from timeScale.
+    const SpecEdit neither[] = {
+        SPEC_EDIT(durability = Durability::Full),
+        SPEC_EDIT(checkpointEveryS = 0.001),
+        SPEC_EDIT(checkpointPath = "x.ckpt"),
+        SPEC_EDIT(restorePath = "y.ckpt"),
+        SPEC_EDIT(config.kernelParams.timeScale = 50.0),
+    };
 
-    b.scale = 0.06;
-    EXPECT_NE(specFingerprint(a), specFingerprint(b));
+    // A spin-down disk and a power budget, so every edited config
+    // is one the machine accepts.
+    RunSpec base;
+    base.bench = Benchmark::Jess;
+    base.scale = 0.05;
+    base.config.diskConfig = DiskConfig::spindown(2.0);
+    base.config.powerBudgetW = 6.0;
+    auto machinePrint = [](const RunSpec &s) {
+        return machineCheckpointFingerprint(s.bench, s.config,
+                                            s.scale);
+    };
+    auto check = [&](const SpecEdit &edit, bool movesSpec,
+                     bool movesMachine) {
+        RunSpec edited = base;
+        edit.apply(edited);
+        EXPECT_EQ(specFingerprint(edited) != specFingerprint(base),
+                  movesSpec)
+            << edit.what;
+        EXPECT_EQ(machinePrint(edited) != machinePrint(base),
+                  movesMachine)
+            << edit.what;
+    };
+    for (const SpecEdit &edit : machineFields)
+        check(edit, true, true);
+    for (const SpecEdit &edit : identityFields)
+        check(edit, true, false);
+    for (const SpecEdit &edit : neither)
+        check(edit, false, false);
 
-    b = a;
-    b.config.kernelParams.seed += 1;
-    EXPECT_NE(specFingerprint(a), specFingerprint(b));
-
-    b = a;
-    b.variant = "x";
-    EXPECT_NE(specFingerprint(a), specFingerprint(b));
+    // Computed without building a machine, the checkpoint key still
+    // equals what a built one writes into its checkpoint headers.
+    RunSpec slow = base;
+    slow.config.timeScale = 50.0;
+    System sys(slow.config);
+    sys.attachWorkload(std::make_unique<Workload>(
+        scaledBenchmarkSpec(slow.bench, slow.scale)));
+    EXPECT_EQ(sys.checkpointFingerprint(), machinePrint(slow));
 }
+
+#undef SPEC_EDIT
 
 TEST(RunnerResilience, JournalWrittenAndResumeSplicesBitIdentical)
 {
@@ -364,24 +506,32 @@ TEST(RunnerResilience, ResumeIgnoresEntriesWithChangedConfig)
     const std::string out = scratch("stale.json");
     removeOutputs(out);
 
-    ExperimentSpec spec;
-    spec.title = "stale";
-    spec.jobs = 1;
-    spec.jsonPath = out;
-    spec.add(Benchmark::Jess, SystemConfig{}, 0.05);
-    runExperiment(spec);
+    auto sweep = [&out](const SystemConfig &config, double scale,
+                        bool resume) {
+        ExperimentSpec spec;
+        spec.title = "stale";
+        spec.jobs = 1;
+        spec.jsonPath = out;
+        spec.resume = resume;
+        spec.add(Benchmark::Jess, config, scale);
+        return runExperiment(spec);
+    };
+    SystemConfig dvfs;
+    dvfs.dvfsEnabled = true;
+    dvfs.powerBudgetW = 6.0;
+    sweep(dvfs, 0.05, false);
+    EXPECT_TRUE(sweep(dvfs, 0.05, true).at(0).restored());
 
-    // Same benchmark, different scale: the journal entry no longer
-    // matches and the run must re-execute.
-    ExperimentSpec changed;
-    changed.title = "stale";
-    changed.jobs = 1;
-    changed.jsonPath = out;
-    changed.resume = true;
-    changed.add(Benchmark::Jess, SystemConfig{}, 0.06);
-    ExperimentResult result = runExperiment(changed);
-    EXPECT_FALSE(result.at(0).restored());
-    EXPECT_TRUE(result.at(0).hasData());
+    // Same benchmark, different scale, or only the power budget
+    // edited: the journal entry no longer matches and the run must
+    // re-execute.
+    SystemConfig tighter = dvfs;
+    tighter.powerBudgetW = 5.0;
+    for (const ExperimentResult &result :
+         {sweep(dvfs, 0.06, true), sweep(tighter, 0.05, true)}) {
+        EXPECT_FALSE(result.at(0).restored());
+        EXPECT_TRUE(result.at(0).hasData());
+    }
 
     removeOutputs(out);
 }

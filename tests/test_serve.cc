@@ -887,6 +887,22 @@ TEST_F(ServeDirTest, ServerAnswersJournalsAndReplaysAcrossRestart)
         EXPECT_EQ(response.servedFrom, "journal");
         EXPECT_EQ(response.document, firstDocument);
 
+        // The same run under closed-loop DVFS is another answer: the
+        // power-manager settings are part of the journal key. Once
+        // executed, it too is answered from the journal.
+        request.id = "job-dvfs";
+        request.spec = "bench=jess scale=0.03 dvfs=1 power_budget_w=6";
+        ASSERT_TRUE(client.call(request, response, error)) << error;
+        EXPECT_EQ(response.status, "ok") << response.error;
+        EXPECT_EQ(response.servedFrom, "executed");
+        EXPECT_NE(response.document.find("\"dvfs\""),
+                  std::string::npos);
+        const std::string dvfsDocument = response.document;
+        request.id = "job-dvfs-again";
+        ASSERT_TRUE(client.call(request, response, error)) << error;
+        EXPECT_EQ(response.servedFrom, "journal");
+        EXPECT_EQ(response.document, dvfsDocument);
+
         // A malformed line gets a structured rejection, and the
         // session survives to serve the next request.
         ASSERT_TRUE(client.session()->writeLine("not json"));
@@ -901,8 +917,8 @@ TEST_F(ServeDirTest, ServerAnswersJournalsAndReplaysAcrossRestart)
         EXPECT_NE(response.error.find("nonsense_key"),
                   std::string::npos);
 
-        EXPECT_EQ(server.executedJobs(), 1u);
-        EXPECT_EQ(server.journalHits(), 1u);
+        EXPECT_EQ(server.executedJobs(), 2u);
+        EXPECT_EQ(server.journalHits(), 2u);
         running.drain();
         EXPECT_FALSE(fs::exists(options.socketPath));
     }
