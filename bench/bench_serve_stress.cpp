@@ -316,9 +316,8 @@ main(int argc, char **argv)
         CancelToken token;
         for (const auto &[spec, bytes] : documents) {
             RunSpec runSpec;
-            std::string bench, error;
-            if (!serve::parseServeSpec(spec, runSpec, bench,
-                                       error)) {
+            std::string error;
+            if (!serve::parseServeSpec(spec, runSpec, error)) {
                 check.expect(false, "re-parse " + spec);
                 continue;
             }

@@ -31,7 +31,7 @@ retryBackoffMs(std::uint64_t baseMs, int attempt)
 
 bool
 parseServeSpec(const std::string &text, RunSpec &spec,
-               std::string &benchName, std::string &error)
+               std::string &error)
 {
     // The daemon installs one process-wide throwing handler for its
     // whole lifetime (serveUntil), and this runs on its session
@@ -75,7 +75,6 @@ parseServeSpec(const std::string &text, RunSpec &spec,
                 report << " " << key;
             fatal(report);
         }
-        benchName = benchmarkName(spec.bench);
         return true;
     } catch (const std::exception &e) {
         error = e.what();
@@ -162,12 +161,7 @@ executeServeSpec(RunSpec spec, const ServeExecOptions &options,
             options.pool->discard(inflight);
     }
 
-    result.attempts = attempt;
     result.run.attempts = attempt;
-    result.warmStarted = result.run.warmStarted;
-    result.warmStartTick = result.run.warmStartTick;
-    result.ticksExecuted = result.run.ticksExecuted;
-    result.storageDegraded = result.run.storageDegraded;
     result.runJson = renderRunJson(result.run);
     return result;
 }

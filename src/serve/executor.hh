@@ -59,25 +59,17 @@ struct ServeExecOptions
     Durability durability = Durability::Buffered;
 };
 
-/** Everything the daemon needs to answer for one executed job. */
+/**
+ * Everything the daemon needs to answer for one executed job. The
+ * run carries the response envelope's evidence: attempts consumed,
+ * the warm-start fields, and storageDegraded for the degraded flag.
+ */
 struct ServeExecResult
 {
     BenchmarkRun run;
 
     /** Pre-rendered run object (journal + document splice text). */
     std::string runJson;
-
-    /** Attempts consumed (1 = no retries needed). */
-    int attempts = 1;
-
-    bool warmStarted = false;
-    std::uint64_t warmStartTick = 0;
-    std::uint64_t ticksExecuted = 0;
-
-    /** True when the run's storage degraded mid-flight (failed
-     *  autosave -> checkpoint-less execution); surfaced in the
-     *  response envelope's degraded flag. */
-    bool storageDegraded = false;
 };
 
 /**
@@ -99,7 +91,7 @@ ServeExecResult executeServeSpec(RunSpec spec,
  * socket. Never terminates: errors come back through @p error.
  */
 bool parseServeSpec(const std::string &text, RunSpec &spec,
-                    std::string &benchName, std::string &error);
+                    std::string &error);
 
 /**
  * Backoff before retry @p attempt (1-based index of the attempt that

@@ -335,10 +335,8 @@ ServeServer::handleRun(const std::shared_ptr<Session> &session,
     response.id = request.id;
 
     JobPtr job = std::make_shared<Job>();
-    std::string benchName;
     std::string specError;
-    if (!parseServeSpec(request.spec, job->spec, benchName,
-                        specError)) {
+    if (!parseServeSpec(request.spec, job->spec, specError)) {
         response.status = statusBadRequest;
         response.error = specError;
         respond(session, response);
@@ -488,19 +486,19 @@ ServeServer::executeJob(const JobPtr &job)
         ServeExecResult done =
             executeServeSpec(job->spec, policy, job->cancel);
         executed.fetch_add(1);
-        if (done.warmStarted)
+        if (done.run.warmStarted)
             warmStarted.fetch_add(1);
 
         response.servedFrom = "executed";
-        response.attempts = done.attempts;
-        response.warmStart = done.warmStarted;
-        response.warmStartTick = done.warmStartTick;
-        response.ticksExecuted = done.ticksExecuted;
+        response.attempts = done.run.attempts;
+        response.warmStart = done.run.warmStarted;
+        response.warmStartTick = done.run.warmStartTick;
+        response.ticksExecuted = done.run.ticksExecuted;
         // Self-monitoring posture: a response computed fine but
         // whose durability machinery failed mid-flight says so,
         // instead of pretending the answer will survive a restart.
         response.degraded =
-            done.storageDegraded || journal.degraded();
+            done.run.storageDegraded || journal.degraded();
         RunOutcome outcome = done.run.result.outcome;
         if (outcome == RunOutcome::Failed) {
             response.status = statusFailed;

@@ -30,6 +30,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
+#include "workload/workload.hh"
 
 #include "serve/admission.hh"
 #include "serve/checkpoint_pool.hh"
@@ -568,13 +569,13 @@ TEST_F(ServeDirTest, PoolDropsImagesInAnotherFormatVersion)
 TEST(ServeSpec, ParsesRunKeysAndMachineKeys)
 {
     RunSpec spec;
-    std::string bench, error;
+    std::string error;
     ASSERT_TRUE(parseServeSpec(
         "bench=db scale=0.25 variant=base deadline_s=2 grace_s=1 "
         "tech.mhz=400",
-        spec, bench, error))
+        spec, error))
         << error;
-    EXPECT_EQ(bench, "db");
+    EXPECT_STREQ(softwatt::benchmarkName(spec.bench), "db");
     EXPECT_EQ(spec.variant, "base");
     EXPECT_DOUBLE_EQ(spec.scale, 0.25);
     EXPECT_DOUBLE_EQ(spec.config.deadlineSeconds, 2.0);
@@ -585,24 +586,22 @@ TEST(ServeSpec, ParsesRunKeysAndMachineKeys)
 TEST(ServeSpec, RejectsBadSpecsWithoutTerminating)
 {
     RunSpec spec;
-    std::string bench, error;
+    std::string error;
 
-    EXPECT_FALSE(parseServeSpec("notakv", spec, bench, error));
+    EXPECT_FALSE(parseServeSpec("notakv", spec, error));
     EXPECT_NE(error.find("notakv"), std::string::npos);
 
-    EXPECT_FALSE(
-        parseServeSpec("bench=nosuch", spec, bench, error));
+    EXPECT_FALSE(parseServeSpec("bench=nosuch", spec, error));
 
     for (const char *bad :
          {"bench=jess scale=0", "bench=jess scale=nan",
           "bench=jess scale=-1", "bench=jess scale=inf",
           "bench=jess scale=1e7"}) {
-        EXPECT_FALSE(parseServeSpec(bad, spec, bench, error)) << bad;
+        EXPECT_FALSE(parseServeSpec(bad, spec, error)) << bad;
         EXPECT_NE(error.find("scale"), std::string::npos) << bad;
     }
 
-    EXPECT_FALSE(parseServeSpec("bench=jess bogus_key=1", spec,
-                                bench, error));
+    EXPECT_FALSE(parseServeSpec("bench=jess bogus_key=1", spec, error));
     EXPECT_NE(error.find("bogus_key"), std::string::npos);
 }
 
@@ -618,8 +617,8 @@ TEST(ServeSpec, UsesTheCallersInstalledHandler)
             ++calls;
         });
     RunSpec spec;
-    std::string bench, error;
-    EXPECT_FALSE(parseServeSpec("notakv", spec, bench, error));
+    std::string error;
+    EXPECT_FALSE(parseServeSpec("notakv", spec, error));
     EXPECT_EQ(calls, 1);
     EXPECT_NE(error.find("notakv"), std::string::npos);
 }
@@ -767,16 +766,15 @@ TEST_F(ServeDirTest, WarmStartSkipsWarmupByteIdentically)
     policy.pool = &pool;
 
     RunSpec spec;
-    std::string bench, error;
-    ASSERT_TRUE(
-        parseServeSpec("bench=jess scale=0.05", spec, bench, error))
+    std::string error;
+    ASSERT_TRUE(parseServeSpec("bench=jess scale=0.05", spec, error))
         << error;
 
     // Run 1: cold, fills the pool.
     ServeExecResult cold = executeServeSpec(spec, policy, token);
     ASSERT_TRUE(cold.run.hasData());
-    EXPECT_FALSE(cold.warmStarted);
-    EXPECT_GT(cold.ticksExecuted, 0u);
+    EXPECT_FALSE(cold.run.warmStarted);
+    EXPECT_GT(cold.run.ticksExecuted, 0u);
     EXPECT_EQ(pool.entries(), 1u);
 
     // Run 2: same machine, different run management (a non-binding
@@ -784,17 +782,17 @@ TEST_F(ServeDirTest, WarmStartSkipsWarmupByteIdentically)
     // fingerprint), so it shares the warm image.
     RunSpec warmSpec;
     ASSERT_TRUE(parseServeSpec("bench=jess scale=0.05 deadline_s=999",
-                               warmSpec, bench, error))
+                               warmSpec, error))
         << error;
     ServeExecResult warm = executeServeSpec(warmSpec, policy, token);
     ASSERT_TRUE(warm.run.hasData());
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_GT(warm.warmStartTick, 0u);
+    EXPECT_TRUE(warm.run.warmStarted);
+    EXPECT_GT(warm.run.warmStartTick, 0u);
 
     // The warm start must skip the bulk of the run, not a sliver.
-    EXPECT_LT(warm.ticksExecuted, cold.ticksExecuted / 2);
-    EXPECT_EQ(warm.warmStartTick + warm.ticksExecuted,
-              cold.ticksExecuted);
+    EXPECT_LT(warm.run.ticksExecuted, cold.run.ticksExecuted / 2);
+    EXPECT_EQ(warm.run.warmStartTick + warm.run.ticksExecuted,
+              cold.run.ticksExecuted);
 
     // Byte-identity against a cold reference of the SAME spec at the
     // same cadence, produced through a scratch pool (always misses).
@@ -805,7 +803,7 @@ TEST_F(ServeDirTest, WarmStartSkipsWarmupByteIdentically)
     ServeExecResult coldRef =
         executeServeSpec(warmSpec, reference, token);
     ASSERT_TRUE(coldRef.run.hasData());
-    EXPECT_FALSE(coldRef.warmStarted);
+    EXPECT_FALSE(coldRef.run.warmStarted);
     EXPECT_EQ(warm.runJson, coldRef.runJson);
 }
 

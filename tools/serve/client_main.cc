@@ -33,6 +33,7 @@
 #include "serve/executor.hh"
 #include "sim/logging.hh"
 #include "sim/signals.hh"
+#include "workload/workload.hh"
 
 using namespace softwatt;
 
@@ -65,9 +66,8 @@ runCold(const std::string &experiment, const std::string &specText,
         double warmS, const std::string &outPath)
 {
     RunSpec spec;
-    std::string benchName;
     std::string error;
-    if (!serve::parseServeSpec(specText, spec, benchName, error)) {
+    if (!serve::parseServeSpec(specText, spec, error)) {
         std::cerr << "softwatt-serve-client: " << error << "\n";
         return 1;
     }
@@ -106,7 +106,7 @@ runCold(const std::string &experiment, const std::string &specText,
     if (!emitDocument(outPath, document.str()))
         return 1;
     RunOutcome outcome = done.run.result.outcome;
-    std::cerr << "cold: " << benchName << " ended "
+    std::cerr << "cold: " << benchmarkName(spec.bench) << " ended "
               << runOutcomeName(outcome) << "\n";
     return outcome == RunOutcome::Failed ||
                    outcome == RunOutcome::Cancelled
