@@ -2,12 +2,16 @@
  * @file
  * Energy-vs-performance Pareto frontier under the closed-loop DVFS
  * governor: one unconstrained baseline plus one run per power
- * budget. Tightening the budget drives the governor down the
- * voltage/frequency ladder, trading run time for energy; the
- * frontier is the curve that trade sweeps out. Checks that the
- * frontier is monotone — as the budget falls, run time never shrinks
- * and total energy never grows — and that the governor demonstrably
- * changed the operating point mid-run for at least one budget.
+ * budget. In each governed run the kernel's power meter feeds the
+ * governor every sample window, and the machine steps down the
+ * voltage/frequency ladder when a window's system power exceeds the
+ * budget and back up when there is headroom. Tightening the budget
+ * trades run time for energy; the frontier is the curve that trade
+ * sweeps out. Prints each run's final and deepest ladder level and
+ * its steps down and up, and checks that the frontier is monotone —
+ * as the budget falls, run time never shrinks and total energy never
+ * grows — and that the governor demonstrably changed the operating
+ * point mid-run for at least one budget.
  *
  * Usage: bench_pareto [bench=mtrt] [scale=0.2]
  *                     [budgets=8,7,6,5] [out=pareto.json]
@@ -19,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/report.hh"
 #include "core/runner.hh"
 #include "sim/logging.hh"
 
@@ -26,17 +31,6 @@ using namespace softwatt;
 
 namespace
 {
-
-std::vector<double>
-parseBudgets(const std::string &text)
-{
-    std::vector<double> budgets;
-    std::stringstream in(text);
-    std::string item;
-    while (std::getline(in, item, ','))
-        budgets.push_back(std::stod(item));
-    return budgets;
-}
 
 struct FrontierPoint
 {
@@ -58,7 +52,7 @@ main(int argc, char **argv)
     std::string bench_name = args.getString("bench", "mtrt");
     double scale = args.getDouble("scale", 0.2);
     std::vector<double> budgets =
-        parseBudgets(args.getString("budgets", "8,7,6,5"));
+        getDoubleList(args, "budgets", "8,7,6,5");
     if (budgets.size() < 2)
         fatal("budgets= must list at least two budgets to sweep "
               "a frontier");
@@ -107,7 +101,8 @@ main(int argc, char **argv)
     std::cout << std::right << std::setw(16) << "budget"
               << std::setw(14) << "time (s)" << std::setw(14)
               << "energy (J)" << std::setw(10) << "avg W"
-              << std::setw(8) << "deep" << std::setw(8) << "steps"
+              << std::setw(8) << "level" << std::setw(8) << "deep"
+              << std::setw(8) << "down" << std::setw(8) << "up"
               << '\n';
     for (const FrontierPoint &p : frontier) {
         std::cout << std::right << std::setw(16) << p.label
@@ -117,15 +112,22 @@ main(int argc, char **argv)
                   << std::fixed << std::setprecision(2)
                   << p.energyJ / p.seconds;
         if (p.governor) {
-            std::cout << std::setw(8) << p.governor->deepestLevel()
-                      << std::setw(8)
-                      << p.governor->stepsDown() +
-                             p.governor->stepsUp();
+            std::cout << std::setw(8) << p.governor->level()
+                      << std::setw(8) << p.governor->deepestLevel()
+                      << std::setw(8) << p.governor->stepsDown()
+                      << std::setw(8) << p.governor->stepsUp();
         } else {
-            std::cout << std::setw(8) << "-" << std::setw(8) << "-";
+            std::cout << std::setw(8) << "-" << std::setw(8) << "-"
+                      << std::setw(8) << "-" << std::setw(8) << "-";
         }
         std::cout << '\n';
     }
+    std::cout << "\nThe governor observes each closed sample window "
+                 "through the kernel power meter\nand moves one ladder "
+                 "rung per window: down past the budget, up under 90% "
+                 "of it.\nTighter budgets trade run time for energy; "
+                 "the ladder pairs each frequency with\nthe lowest "
+                 "era-plausible supply.\n";
 
     // Monotonicity: as the budget tightens (left to right in the
     // frontier vector), time must not shrink and energy must not

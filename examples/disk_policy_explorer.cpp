@@ -15,6 +15,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/report.hh"
 #include "core/runner.hh"
 
 using namespace softwatt;
@@ -29,12 +30,8 @@ main(int argc, char **argv)
     std::string bench_name = args.getString("bench", "mtrt");
     double scale = args.getDouble("scale", 1.0);
 
-    std::vector<double> thresholds;
-    std::string list = args.getString("thresholds", "0.5,1,2,4,8");
-    std::istringstream in(list);
-    std::string tok;
-    while (std::getline(in, tok, ','))
-        thresholds.push_back(std::stod(tok));
+    std::vector<double> thresholds =
+        getDoubleList(args, "thresholds", "0.5,1,2,4,8");
 
     ExperimentSpec spec =
         ExperimentSpec::fromArgs("disk-policy", args);

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/report.hh"
 #include "core/runner.hh"
 
 using namespace softwatt;
@@ -31,12 +32,8 @@ main(int argc, char **argv)
     std::string bench_name = args.getString("bench", "jess");
     double scale = args.getDouble("scale", 0.1);
 
-    std::vector<double> rates;
-    std::string list = args.getString("rates", "0,0.05,0.1,0.2,0.4");
-    std::istringstream in(list);
-    std::string tok;
-    while (std::getline(in, tok, ','))
-        rates.push_back(std::stod(tok));
+    std::vector<double> rates =
+        getDoubleList(args, "rates", "0,0.05,0.1,0.2,0.4");
 
     struct Policy
     {

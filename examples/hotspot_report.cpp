@@ -36,10 +36,7 @@ main(int argc, char **argv)
     ExperimentResult result = runExperiment(spec);
     const BenchmarkRun &run = result.at(0);
     if (!run.hasData()) {
-        std::cout << "(no data: " << run.name << " ended "
-                  << runOutcomeName(run.result.outcome)
-                  << (run.error.empty() ? "" : ": " + run.error)
-                  << ")\n";
+        printNoData(std::cout, run);
         return result.exitCode();
     }
     System &sys = *run.system;
@@ -105,17 +102,10 @@ main(int argc, char **argv)
     std::vector<std::size_t> order(trace.windows.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
-    auto window_power = [&](std::size_t i) {
-        const WindowPower &wp = trace.windows[i];
-        double len = double(wp.endTick - wp.startTick);
-        double p = 0;
-        for (int m = 0; m < numExecModes; ++m)
-            p += wp.modePowerW[m] * double(wp.cycles[m]) / len;
-        return p;
-    };
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) {
-                  return window_power(a) > window_power(b);
+                  return windowPowerW(trace.windows[a]) >
+                         windowPowerW(trace.windows[b]);
               });
     std::cout << "\nHottest windows (CPU+memory power):\n";
     for (std::size_t i = 0; i < order.size() && i < 5; ++i) {
@@ -124,7 +114,7 @@ main(int argc, char **argv)
                   << double(wp.startTick) / freq *
                          config.timeScale
                   << " s : " << std::setprecision(2)
-                  << window_power(order[i]) << " W\n";
+                  << windowPowerW(wp) << " W\n";
     }
     return result.exitCode();
 }

@@ -42,10 +42,7 @@ main(int argc, char **argv)
     ExperimentResult result = runExperiment(spec);
     const BenchmarkRun &run = result.at(0);
     if (!run.hasData()) {
-        std::cout << "(no data: " << run.name << " ended "
-                  << runOutcomeName(run.result.outcome)
-                  << (run.error.empty() ? "" : ": " + run.error)
-                  << ")\n";
+        printNoData(std::cout, run);
         return result.exitCode();
     }
     System &sys = *run.system;
@@ -97,6 +94,8 @@ main(int argc, char **argv)
         if (!csv)
             fatal("cannot open " + csv_path);
         sys.log().writeCsv(csv);
+        if (!csv.flush())
+            fatal("cannot write " + csv_path);
         std::cout << "\nSample log written to " << csv_path << "\n";
     }
     return result.exitCode();

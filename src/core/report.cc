@@ -1,9 +1,15 @@
 #include "report.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+
+#include "sim/config.hh"
+#include "sim/logging.hh"
+
+#include "experiment.hh"
 
 namespace softwatt
 {
@@ -34,6 +40,16 @@ isGap(const CounterBank &bank)
 }
 
 } // namespace
+
+double
+windowPowerW(const WindowPower &wp)
+{
+    double len = double(wp.endTick - wp.startTick);
+    double power = 0;
+    for (int m = 0; m < numExecModes; ++m)
+        power += wp.modePowerW[m] * double(wp.cycles[m]) / len;
+    return power;
+}
 
 std::string
 pct(double numerator, double denominator)
@@ -317,12 +333,6 @@ printTimeProfile(std::ostream &out, const std::string &title,
         double sync = mode_cycles(ExecMode::KernelSync);
         double idle = mode_cycles(ExecMode::Idle);
 
-        double window_power = 0;
-        for (int m = 0; m < numExecModes; ++m) {
-            window_power +=
-                wp.modePowerW[m] * double(wp.cycles[m]) / len;
-        }
-
         out << std::fixed << std::setprecision(3) << std::setw(7) << t
             << ' ' << pct(user_i, len) << ' '
             << pct(user - user_i, len) << ' ' << pct(kern_i, len)
@@ -332,9 +342,39 @@ printTimeProfile(std::ostream &out, const std::string &title,
             out << std::setw(8) << std::setprecision(2)
                 << wp.modePowerW[m];
         }
-        out << std::setw(9) << std::setprecision(2) << window_power
+        out << std::setw(9) << std::setprecision(2) << windowPowerW(wp)
             << '\n';
     }
+}
+
+std::vector<double>
+getDoubleList(const Config &args, const std::string &key,
+              const std::string &def)
+{
+    std::string text = args.getString(key, def);
+    std::vector<double> values;
+    std::size_t begin = 0;
+    for (;;) {
+        std::size_t comma = text.find(',', begin);
+        std::string item = text.substr(begin, comma - begin);
+        char *end = nullptr;
+        double v = std::strtod(item.c_str(), &end);
+        if (end == item.c_str() || *end != '\0')
+            fatal(msg() << "config key '" << key << "': item '" << item
+                        << "' of '" << text << "' is not a number");
+        values.push_back(v);
+        if (comma == std::string::npos)
+            return values;
+        begin = comma + 1;
+    }
+}
+
+void
+printNoData(std::ostream &out, const BenchmarkRun &run)
+{
+    out << "(no data: " << run.name << " ended "
+        << runOutcomeName(run.result.outcome)
+        << (run.error.empty() ? "" : ": " + run.error) << ")\n";
 }
 
 } // namespace softwatt

@@ -3,7 +3,8 @@
  * Text renderers for the paper's tables and figures: pie-style
  * component budgets (Figs. 5/7), per-mode stacked power (Fig. 6),
  * kernel-service power (Fig. 8), time profiles (Figs. 3/4), and
- * Tables 2-5.
+ * Tables 2-5; plus the argument and no-data helpers the harnesses
+ * in bench/ and examples/ share.
  */
 
 #ifndef SOFTWATT_CORE_REPORT_HH
@@ -20,6 +21,9 @@
 
 namespace softwatt
 {
+
+class Config;
+struct BenchmarkRun;
 
 /** Print the component power-budget shares (Figures 5 and 7). */
 void printPowerBudget(std::ostream &out, const std::string &title,
@@ -74,8 +78,31 @@ void printTimeProfile(std::ostream &out, const std::string &title,
                       const PowerTrace &trace, const SampleLog &log,
                       double freq_hz, double equiv_time_scale);
 
+/**
+ * CPU+memory power of one profile window in watts: each mode's power
+ * weighted by its share of the window's cycles. The window must not
+ * be empty.
+ */
+double windowPowerW(const WindowPower &wp);
+
 /** Percent with one decimal, right-aligned in 7 columns. */
 std::string pct(double numerator, double denominator);
+
+/**
+ * Read a comma-separated list of numbers from @p key, or from
+ * @p def when the key is absent. Each item is parsed whole, by the
+ * rule Config::getDouble uses; an empty or malformed item is
+ * fatal(), naming the key and the item.
+ */
+std::vector<double> getDoubleList(const Config &args,
+                                  const std::string &key,
+                                  const std::string &def);
+
+/**
+ * Print "(no data: <bench> ended <outcome>[: <error>])" for a run
+ * that left no system to report on.
+ */
+void printNoData(std::ostream &out, const BenchmarkRun &run);
 
 } // namespace softwatt
 

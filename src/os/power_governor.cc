@@ -21,7 +21,7 @@ DvfsGovernor::DvfsGovernor(double nominal_freq_mhz,
                     << "(got " << headroom << ")");
     }
 
-    // The dvfs_explorer ladder, expressed as exact fractions of the
+    // The historical DVFS ladder, expressed as exact fractions of the
     // nominal point so the 200 MHz / 3.3 V machine lands on the
     // historical 200/166/133/100/66 MHz at 3.3/3.0/2.7/2.4/2.1 V.
     struct Rung

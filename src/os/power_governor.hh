@@ -31,8 +31,8 @@ namespace softwatt
 /**
  * Closed-loop DVFS governor.
  *
- * The ladder mirrors the historical open-loop sweep of
- * examples/dvfs_explorer — {1.0, 0.83, 0.665, 0.5, 0.33} of nominal
+ * The ladder mirrors the historical open-loop DVFS sweep, whose
+ * fixed operating points were {1.0, 0.83, 0.665, 0.5, 0.33} of nominal
  * frequency paired with {33, 30, 27, 24, 21}/33 of nominal Vdd (the
  * 200 MHz / 3.3 V point maps to exactly 200/166/133/100/66 MHz at
  * 3.3/3.0/2.7/2.4/2.1 V). Each observed window moves at most one

@@ -1,15 +1,17 @@
 /**
  * @file
- * Smoke tests for the table/figure text renderers and the
- * command-line argument parser.
+ * Smoke tests for the table/figure text renderers, the command-line
+ * argument parser and the harnesses' number-list reader.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/report.hh"
+#include "sim/logging.hh"
 
 using namespace softwatt;
 
@@ -114,6 +116,42 @@ TEST(Report, TimeProfileEmitsOneRowPerWindow)
     while (std::getline(in, line))
         ++rows;
     EXPECT_EQ(rows, 2 + 3);  // title + header + 3 windows
+}
+
+TEST(Report, DoubleListParsesEveryItemWhole)
+{
+    // A null value leaves the key absent; no expected values means
+    // the list must be rejected.
+    const struct
+    {
+        const char *value;
+        std::vector<double> expected;
+    } cases[] = {
+        {"8,7,6,5", {8, 7, 6, 5}}, {"2.5", {2.5}}, {nullptr, {1, 2}},
+        {"x", {}},   {"8,x", {}},  {"8,,6", {}},  {"8,7,", {}},
+        {",8", {}},  {"8x,7", {}}, {"", {}},
+    };
+    setErrorHandler(throwingErrorHandler);
+    for (const auto &c : cases) {
+        const char *shown = c.value ? c.value : "(absent)";
+        Config args;
+        if (c.value)
+            args.set("budgets", std::string(c.value));
+        if (!c.expected.empty()) {
+            EXPECT_EQ(getDoubleList(args, "budgets", "1,2"), c.expected)
+                << shown;
+            continue;
+        }
+        try {
+            getDoubleList(args, "budgets", "1,2");
+            ADD_FAILURE() << "accepted '" << shown << "'";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find("'budgets'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    setErrorHandler(nullptr);
 }
 
 TEST(ParseArgs, AcceptsAssignments)
