@@ -69,6 +69,7 @@ main(int argc, char **argv)
         SystemConfig config = base_config;
         config.dvfsEnabled = true;
         config.powerBudgetW = budget;
+        config.validate();
         std::ostringstream variant;
         variant << budget << "W";
         spec.add(bench, config, scale, variant.str());

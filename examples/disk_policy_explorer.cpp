@@ -42,12 +42,14 @@ main(int argc, char **argv)
     {
         SystemConfig config = base_config;
         config.diskConfig = DiskConfig::idleOnly();
+        config.validate();
         labels.push_back("idle-only (no spindown)");
         spec.add(bench, config, scale, "idle-only");
     }
     for (double threshold : thresholds) {
         SystemConfig config = base_config;
         config.diskConfig = DiskConfig::spindown(threshold);
+        config.validate();
         std::ostringstream variant;
         variant << "spindown@" << threshold;
         std::ostringstream label;

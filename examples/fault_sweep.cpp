@@ -56,6 +56,7 @@ main(int argc, char **argv)
             config.diskConfig = policy.config;
             config.diskConfig.fault.enabled = rate > 0;
             config.diskConfig.fault.transientErrorRate = rate;
+            config.validate();
             std::ostringstream variant;
             variant << policy.label << "@" << rate;
             spec.add(bench, config, scale, variant.str());

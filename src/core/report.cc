@@ -1,6 +1,7 @@
 #include "report.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <iomanip>
 #include <ostream>
@@ -359,7 +360,7 @@ getDoubleList(const Config &args, const std::string &key,
         std::string item = text.substr(begin, comma - begin);
         char *end = nullptr;
         double v = std::strtod(item.c_str(), &end);
-        if (end == item.c_str() || *end != '\0')
+        if (end == item.c_str() || *end != '\0' || std::isnan(v))
             fatal(msg() << "config key '" << key << "': item '" << item
                         << "' of '" << text << "' is not a number");
         values.push_back(v);

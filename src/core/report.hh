@@ -91,8 +91,9 @@ std::string pct(double numerator, double denominator);
 /**
  * Read a comma-separated list of numbers from @p key, or from
  * @p def when the key is absent. Each item is parsed whole, by the
- * rule Config::getDouble uses; an empty or malformed item is
- * fatal(), naming the key and the item.
+ * rule Config::getDouble uses; an empty, malformed or NaN item is
+ * fatal(), naming the key and the item. Callers range-check the
+ * values by validating each config they build from them.
  */
 std::vector<double> getDoubleList(const Config &args,
                                   const std::string &key,

@@ -78,16 +78,7 @@ class AdmissionQueue
                    [this] { return count > 0 || closedFlag; });
         if (count == 0)
             return false;
-        std::string client = rotation.front();
-        rotation.pop_front();
-        std::deque<T> &fifo = perClient[client];
-        out = std::move(fifo.front());
-        fifo.pop_front();
-        --count;
-        if (!fifo.empty())
-            rotation.push_back(client);
-        else
-            perClient.erase(client);
+        out = takeNextLocked();
         return true;
     }
 
@@ -113,18 +104,8 @@ class AdmissionQueue
         std::lock_guard<std::mutex> lock(mutex);
         std::vector<T> dropped;
         dropped.reserve(count);
-        while (count > 0) {
-            std::string client = rotation.front();
-            rotation.pop_front();
-            std::deque<T> &fifo = perClient[client];
-            dropped.push_back(std::move(fifo.front()));
-            fifo.pop_front();
-            --count;
-            if (!fifo.empty())
-                rotation.push_back(client);
-            else
-                perClient.erase(client);
-        }
+        while (count > 0)
+            dropped.push_back(takeNextLocked());
         return dropped;
     }
 
@@ -143,6 +124,27 @@ class AdmissionQueue
     }
 
   private:
+    /**
+     * Take the head client's oldest item and rotate that client to
+     * the back of the order, or forget it once its FIFO is empty.
+     * Requires the lock and count > 0.
+     */
+    T
+    takeNextLocked()
+    {
+        std::string client = rotation.front();
+        rotation.pop_front();
+        std::deque<T> &fifo = perClient[client];
+        T item = std::move(fifo.front());
+        fifo.pop_front();
+        --count;
+        if (!fifo.empty())
+            rotation.push_back(client);
+        else
+            perClient.erase(client);
+        return item;
+    }
+
     std::size_t bound;
     std::size_t count = 0;
     bool closedFlag = false;

@@ -15,13 +15,6 @@ namespace fs = std::filesystem;
 namespace
 {
 
-/** File size, or 0 when the file is absent/unreadable. */
-std::uint64_t
-fileBytes(const std::string &path)
-{
-    return hostFileSize(path);
-}
-
 /** Parse a 16-hex-digit prefix; false when it is not one. */
 bool
 parseKeyPrefix(const std::string &name, std::uint64_t &key)
@@ -189,44 +182,12 @@ CheckpointPool::recover()
         bool usable = verifies(candidate);
         if (!usable) {
             candidate = checkpointPreviousGeneration(path);
-            usable = fileBytes(candidate) > 0 && verifies(candidate);
+            usable = hostFileSize(candidate) > 0 && verifies(candidate);
         }
-        if (!usable || budget == 0) {
-            hostRemoveBestEffort(path);
-            hostRemoveBestEffort(checkpointPreviousGeneration(path));
-            continue;
-        }
-        std::string pool = poolPath(key);
-        // Each rename is checked on its own: the rotation failing
-        // must not be masked by the promote succeeding (or vice
-        // versa), and a failed promote leaves the slot's previous
-        // contents — already budgeted above — untouched.
-        if (hostFileExists(pool)) {
-            IoStatus rotated = hostRename(
-                pool, checkpointPreviousGeneration(pool),
-                durability);
-            if (!rotated) {
-                warn(msg() << "checkpoint pool: cannot rotate '"
-                           << pool << "' for orphan promotion: "
-                           << rotated.message);
-                hostRemoveBestEffort(path);
-                hostRemoveBestEffort(
-                    checkpointPreviousGeneration(path));
-                continue;
-            }
-        }
-        IoStatus moved = hostRename(candidate, pool, durability);
-        hostRemoveBestEffort(path);
-        hostRemoveBestEffort(checkpointPreviousGeneration(path));
-        if (!moved) {
-            warn(msg() << "checkpoint pool: cannot promote orphan '"
-                       << candidate << "': " << moved.message);
-            refreshSizeLocked(key);
-            continue;
-        }
-        touchLocked(key);
-        refreshSizeLocked(key);
-        ++promoted;
+        if (!usable || budget == 0)
+            discard(path);
+        else if (promoteLocked(key, candidate, path))
+            ++promoted;
     }
     // Now that every orphan had its chance to fall back, sweep the
     // rotated generations that remain (strays whose newest image was
@@ -250,8 +211,8 @@ CheckpointPool::lookup(std::uint64_t key)
     if (it == sizes.end())
         return "";
     std::string path = poolPath(key);
-    if (fileBytes(path) == 0 &&
-        fileBytes(checkpointPreviousGeneration(path)) == 0) {
+    if (hostFileSize(path) == 0 &&
+        hostFileSize(checkpointPreviousGeneration(path)) == 0) {
         // Both generations vanished under us; drop the entry.
         lru.remove(key);
         sizes.erase(it);
@@ -275,20 +236,27 @@ CheckpointPool::promote(std::uint64_t key,
                         const std::string &inflight_path)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    std::string previous =
-        checkpointPreviousGeneration(inflight_path);
-    if (budget == 0 || fileBytes(inflight_path) == 0) {
-        hostRemoveBestEffort(inflight_path);
-        hostRemoveBestEffort(previous);
+    if (budget == 0 || hostFileSize(inflight_path) == 0) {
+        discard(inflight_path);
         return false;
     }
+    if (!promoteLocked(key, inflight_path, inflight_path))
+        return false;
+    enforceBudgetLocked();
+    return sizes.count(key) != 0;
+}
+
+bool
+CheckpointPool::promoteLocked(std::uint64_t key, const std::string &image,
+                              const std::string &inflight_path)
+{
+    std::string previous = checkpointPreviousGeneration(inflight_path);
     std::string pool = poolPath(key);
-    // The rotate and the promote are checked separately: the old
-    // code funneled both renames through one error_code, so a failed
-    // rotation was silently overwritten by a successful promote —
-    // destroying the generation the fallback path depends on — and a
-    // failed promote could strand the in-flight file while the entry
-    // was still indexed.
+    // The rotate and the promote are checked separately: a failed
+    // rotation must not be masked by a successful promote, which
+    // would destroy the generation the fallback path depends on, and
+    // a failed promote must not strand the in-flight file while the
+    // slot is still indexed.
     if (hostFileExists(pool)) {
         IoStatus rotated = hostRename(
             pool, checkpointPreviousGeneration(pool), durability);
@@ -302,10 +270,10 @@ CheckpointPool::promote(std::uint64_t key,
             return false;
         }
     }
-    IoStatus moved = hostRename(inflight_path, pool, durability);
+    IoStatus moved = hostRename(image, pool, durability);
     if (!moved) {
-        warn(msg() << "checkpoint pool: cannot promote "
-                   << inflight_path << ": " << moved.message);
+        warn(msg() << "checkpoint pool: cannot promote '" << image
+                   << "': " << moved.message);
         hostRemoveBestEffort(inflight_path);
         hostRemoveBestEffort(previous);
         // The slot may now hold only the rotated generation; re-stat
@@ -313,11 +281,12 @@ CheckpointPool::promote(std::uint64_t key,
         refreshSizeLocked(key);
         return false;
     }
-    hostRemoveBestEffort(previous);
+    // The generation that was not renamed is stale now.
+    hostRemoveBestEffort(image == inflight_path ? previous
+                                                : inflight_path);
     touchLocked(key);
     refreshSizeLocked(key);
-    enforceBudgetLocked();
-    return sizes.count(key) != 0;
+    return true;
 }
 
 void
@@ -356,8 +325,8 @@ CheckpointPool::refreshSizeLocked(std::uint64_t key)
 {
     std::string path = poolPath(key);
     std::uint64_t total =
-        fileBytes(path) +
-        fileBytes(checkpointPreviousGeneration(path));
+        hostFileSize(path) +
+        hostFileSize(checkpointPreviousGeneration(path));
     if (total == 0) {
         lru.remove(key);
         sizes.erase(key);

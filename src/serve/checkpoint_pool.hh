@@ -99,10 +99,19 @@ class CheckpointPool
     std::uint64_t bytesUsed() const;
     std::size_t entries() const;
     std::uint64_t evictions() const;
-    const std::string &directory() const { return dir; }
 
   private:
     std::string poolPath(std::uint64_t key) const;
+
+    /**
+     * Rotate the slot for @p key one generation back and rename
+     * @p image — @p inflight_path or its previous generation — into
+     * it (locked). Each rename is checked on its own, and a failure
+     * warns and re-stats the slot. The in-flight files are gone
+     * afterwards either way. @return true when the slot took @p image.
+     */
+    bool promoteLocked(std::uint64_t key, const std::string &image,
+                       const std::string &inflight_path);
 
     /** Re-stat a key's files and update the accounting (locked). */
     void refreshSizeLocked(std::uint64_t key);

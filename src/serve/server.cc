@@ -150,7 +150,7 @@ ServeServer::start(std::string &error)
             continue;
         }
         answers[journalKey(entry.experiment, entry.config)] =
-            Answer{entry.runJson, entry.attempts, entry.outcome};
+            Answer{entry.runJson, entry.attempts};
     }
     if (!journal.open(journalPath(), /*truncate=*/false,
                       opts.durability)) {
@@ -190,11 +190,6 @@ ServeServer::start(std::string &error)
         return false;
     }
 
-    workers = std::make_unique<ThreadPool>(unsigned(opts.jobs));
-    // Twice the worker count keeps every worker fed without letting
-    // the dispatcher run ahead of the admission queue's fairness.
-    workers->setPendingLimit(std::size_t(opts.jobs) * 2);
-
     status(msg() << "serve: listening on " << opts.socketPath << " ("
                  << answers.size() << " journaled answers, "
                  << poolStore.entries() << " pooled images, "
@@ -209,10 +204,15 @@ ServeServer::serveUntil(CancelToken &token)
     // and panic() anywhere below surface as SimError, which
     // runSpecProtected converts into Failed run records per job.
     ScopedErrorHandler firewall(throwingErrorHandler);
-    stopToken = &token;
-    stopDeadline.store(false);
-    std::thread dispatcher(&ServeServer::dispatchLoop, this);
-    std::thread deadliner(&ServeServer::deadlineLoop, this);
+    // Each worker exits once the queue is closed and empty.
+    std::vector<std::thread> workers;
+    for (int i = 0; i < opts.jobs; ++i) {
+        workers.emplace_back([this] {
+            JobPtr job;
+            while (queue.pop(job))
+                executeJob(job);
+        });
+    }
 
     bool draining = false;
     bool hardCancelled = false;
@@ -242,6 +242,7 @@ ServeServer::serveUntil(CancelToken &token)
             for (auto &entry : live)
                 entry.second->cancel.request(CancelToken::Hard);
         }
+        cancelExpiredJobs();
         if (draining) {
             bool idle;
             {
@@ -258,7 +259,8 @@ ServeServer::serveUntil(CancelToken &token)
         pollfd waiter{};
         waiter.fd = listenFd;
         waiter.events = POLLIN;
-        int ready = ::poll(&waiter, 1, 200);
+        // The timeout bounds how late a wall deadline is noticed.
+        int ready = ::poll(&waiter, 1, 50);
         if (ready <= 0 || !(waiter.revents & POLLIN))
             continue;
         int fd = ::accept(listenFd, nullptr, nullptr);
@@ -278,13 +280,11 @@ ServeServer::serveUntil(CancelToken &token)
         sessionWorkers.push_back(std::move(worker));
     }
 
-    // The queue is closed and drained, so the dispatcher exits; the
-    // pool destructor then waits for in-flight jobs to finish writing
-    // their responses before any session is torn down.
-    dispatcher.join();
-    workers.reset();
-    stopDeadline.store(true);
-    deadliner.join();
+    // The queue is closed and empty, so each worker exits once its
+    // last job has written its response, before any session is torn
+    // down.
+    for (std::thread &worker : workers)
+        worker.join();
 
     std::vector<SessionWorker> leftover;
     {
@@ -300,7 +300,6 @@ ServeServer::serveUntil(CancelToken &token)
                  << " executed, " << journalHit.load()
                  << " journal hits, " << warmStarted.load()
                  << " warm starts, " << shed.load() << " shed)");
-    stopToken = nullptr;
 }
 
 void
@@ -428,43 +427,6 @@ ServeServer::handleCancel(const std::shared_ptr<Session> &session,
 }
 
 void
-ServeServer::dispatchLoop()
-{
-    JobPtr job;
-    while (queue.pop(job)) {
-        // trySubmit keeps the worker queue bounded; when every slot
-        // is taken, wait for a worker to free one (executeJob pokes
-        // slotFree on completion) instead of buffering ahead.
-        for (;;) {
-            auto slot =
-                workers->trySubmit([this, job] { executeJob(job); });
-            if (slot)
-                break;
-            std::unique_lock<std::mutex> lock(slotMutex);
-            slotFree.wait_for(lock, std::chrono::milliseconds(20));
-        }
-        job.reset();
-    }
-}
-
-void
-ServeServer::deadlineLoop()
-{
-    while (!stopDeadline.load()) {
-        auto now = std::chrono::steady_clock::now();
-        {
-            std::lock_guard<std::mutex> lock(liveMutex);
-            for (auto &entry : live) {
-                const JobPtr &job = entry.second;
-                if (job->hasDeadline && now >= job->deadline)
-                    job->cancel.request(CancelToken::Hard);
-            }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-}
-
-void
 ServeServer::executeJob(const JobPtr &job)
 {
     ServeResponse response;
@@ -520,8 +482,7 @@ ServeServer::executeJob(const JobPtr &job)
             std::lock_guard<std::mutex> lock(answersMutex);
             if (answers
                     .emplace(job->identity,
-                             Answer{entry.runJson, entry.attempts,
-                                    entry.outcome})
+                             Answer{entry.runJson, entry.attempts})
                     .second) {
                 journal.append(entry);
             }
@@ -532,7 +493,6 @@ ServeServer::executeJob(const JobPtr &job)
     }
 
     eraseLive(job);
-    slotFree.notify_one();
     if (!job->session->writeLine(renderServeResponse(response))) {
         warn(msg() << "serve: client '" << job->request.client
                    << "' vanished before job '" << job->request.id
@@ -574,6 +534,18 @@ ServeServer::eraseLive(const JobPtr &job)
 {
     std::lock_guard<std::mutex> lock(liveMutex);
     live.erase(liveKey(job->request.client, job->request.id));
+}
+
+void
+ServeServer::cancelExpiredJobs()
+{
+    auto now = std::chrono::steady_clock::now();
+    std::lock_guard<std::mutex> lock(liveMutex);
+    for (auto &entry : live) {
+        const JobPtr &job = entry.second;
+        if (job->hasDeadline && now >= job->deadline)
+            job->cancel.request(CancelToken::Hard);
+    }
 }
 
 void

@@ -5,10 +5,16 @@
  * (newline-delimited JSON, see protocol.hh) and answering each with
  * a complete softwatt-experiment-v2 document.
  *
+ * Threads: the accept loop, serve_jobs workers that pop jobs
+ * straight off the admission queue, and one reader per session. The
+ * admission queue is the only place a job waits for a worker.
+ *
  * Robustness properties (DESIGN.md §4j):
  *  - Bounded admission with client-fair round-robin scheduling and a
- *    structured `overloaded` rejection once the queue is full.
- *  - Per-job wall and simulated deadlines, cooperative cancellation.
+ *    structured `overloaded` rejection once serve_queue_max jobs are
+ *    waiting for a worker.
+ *  - Per-job wall and simulated deadlines, cooperative cancellation;
+ *    the accept loop checks wall deadlines on every wake (<= 50 ms).
  *  - Bounded retries with exponential backoff behind the exception
  *    firewall; the final retry forces the invariant sweeps on.
  *  - Graceful drain: the first SIGTERM/SIGINT/SIGHUP (bridged to a
@@ -30,7 +36,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -41,7 +46,6 @@
 
 #include "core/journal.hh"
 #include "core/runner.hh"
-#include "sim/thread_pool.hh"
 
 #include "admission.hh"
 #include "checkpoint_pool.hh"
@@ -63,7 +67,7 @@ struct ServeOptions
     /** serve_jobs=: worker threads executing runs. */
     int jobs = 2;
 
-    /** serve_queue_max=: admission bound; 0 = unbounded. */
+    /** serve_queue_max=: jobs waiting for a worker; 0 = unbounded. */
     std::size_t queueMax = 64;
 
     /** serve_pool_mb=: warm pool budget; 0 = scratch (cold) mode. */
@@ -115,28 +119,26 @@ class ServeServer
     /**
      * Create the state directory, open the journal (append mode —
      * answers accumulate across daemon generations), load journaled
-     * answers, recover the checkpoint pool, bind the socket, and
-     * start the worker pool. @return false with @p error on failure.
+     * answers, recover the checkpoint pool, and bind the socket.
+     * @return false with @p error on failure.
      */
     bool start(std::string &error);
 
     /**
-     * Accept and serve until @p token reports cancellation and all
-     * admitted work has finished (Drain) or been cancelled (Hard).
-     * Installs the throwing error handler for its duration.
+     * Start serve_jobs workers, then accept and serve until @p token
+     * reports cancellation and all admitted work has finished (Drain)
+     * or been cancelled (Hard). Installs the throwing error handler
+     * for its duration.
      */
     void serveUntil(CancelToken &token);
 
-    const ServeOptions &options() const { return opts; }
     std::string journalPath() const;
     std::string poolDirectory() const;
-    CheckpointPool &pool() { return poolStore; }
 
     // Service counters (tests and the drain log line).
     std::uint64_t executedJobs() const { return executed.load(); }
     std::uint64_t journalHits() const { return journalHit.load(); }
     std::uint64_t shedJobs() const { return shed.load(); }
-    std::uint64_t warmStartedJobs() const { return warmStarted.load(); }
 
     /**
      * Sessions currently tracked, after reaping finished ones —
@@ -164,7 +166,6 @@ class ServeServer
     {
         std::string runJson;
         int attempts = 1;
-        std::string outcome;
     };
 
     void sessionLoop(std::shared_ptr<Session> session);
@@ -172,8 +173,6 @@ class ServeServer
                    ServeRequest request);
     void handleCancel(const std::shared_ptr<Session> &session,
                       const ServeRequest &request);
-    void dispatchLoop();
-    void deadlineLoop();
     void executeJob(const JobPtr &job);
     void respond(const std::shared_ptr<Session> &session,
                  const ServeResponse &response);
@@ -186,6 +185,9 @@ class ServeServer
                                const std::string &id);
     void eraseLive(const JobPtr &job);
 
+    /** Hard-cancel every live job whose wall deadline has passed. */
+    void cancelExpiredJobs();
+
     /** Join and drop every session whose reader thread has exited. */
     void reapSessionsLocked();
 
@@ -194,18 +196,12 @@ class ServeServer
     RunJournal journal;
     CheckpointPool poolStore;
     AdmissionQueue<JobPtr> queue;
-    std::unique_ptr<ThreadPool> workers;
-
-    const CancelToken *stopToken = nullptr;
 
     std::mutex answersMutex;
     std::map<std::string, Answer> answers;
 
     std::mutex liveMutex;
     std::map<std::string, JobPtr> live;
-
-    std::mutex slotMutex;
-    std::condition_variable slotFree;
 
     /**
      * One accepted connection: its session, its reader thread, and
@@ -224,7 +220,6 @@ class ServeServer
     std::mutex sessionsMutex;
     std::vector<SessionWorker> sessionWorkers;
 
-    std::atomic<bool> stopDeadline{false};
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> journalHit{0};
     std::atomic<std::uint64_t> shed{0};

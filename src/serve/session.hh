@@ -60,8 +60,6 @@ class Session
      */
     void shutdownBoth();
 
-    int fd() const { return sock; }
-
   private:
     int sock;
     std::atomic<bool> brokenFlag{false};

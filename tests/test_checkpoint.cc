@@ -28,6 +28,8 @@
 #include "sim/logging.hh"
 #include "workload/workload.hh"
 
+#include "quiet_log.hh"
+
 using namespace softwatt;
 
 namespace
@@ -124,16 +126,6 @@ sampleImage()
     image.add("beta", std::move(b));
     return image;
 }
-
-class QuietLog
-{
-  public:
-    QuietLog() : saved(logLevel()) { setLogLevel(LogLevel::Quiet); }
-    ~QuietLog() { setLogLevel(saved); }
-
-  private:
-    LogLevel saved;
-};
 
 } // namespace
 

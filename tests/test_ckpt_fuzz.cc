@@ -37,6 +37,8 @@
 #include "sim/random.hh"
 #include "workload/workload.hh"
 
+#include "quiet_log.hh"
+
 using namespace softwatt;
 
 namespace
@@ -47,16 +49,6 @@ constexpr int iterations = 240;
 
 /** Simulated cycles a restored image runs before its deadline. */
 constexpr Tick stretchCycles = 20'000;
-
-class QuietLog
-{
-  public:
-    QuietLog() : saved(logLevel()) { setLogLevel(LogLevel::Quiet); }
-    ~QuietLog() { setLogLevel(saved); }
-
-  private:
-    LogLevel saved;
-};
 
 /** In-order jess with 2000-cycle windows, so the sample log is long. */
 std::unique_ptr<System>

@@ -33,22 +33,14 @@
 #include "sim/logging.hh"
 #include "workload/workload.hh"
 
+#include "quiet_log.hh"
+
 using namespace softwatt;
 
 namespace fs = std::filesystem;
 
 namespace
 {
-
-class QuietLog
-{
-  public:
-    QuietLog() : saved(logLevel()) { setLogLevel(LogLevel::Quiet); }
-    ~QuietLog() { setLogLevel(saved); }
-
-  private:
-    LogLevel saved;
-};
 
 /** Per-test scratch path (ctest runs tests concurrently in one dir). */
 std::string

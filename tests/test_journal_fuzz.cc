@@ -32,6 +32,8 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
+#include "quiet_log.hh"
+
 using namespace softwatt;
 
 namespace
@@ -42,16 +44,6 @@ constexpr int iterations = 400;
 const char *const journalFields[] = {
     "schema", "experiment", "bench",    "variant",
     "config", "outcome",    "attempts", "run",
-};
-
-class QuietLog
-{
-  public:
-    QuietLog() : saved(logLevel()) { setLogLevel(LogLevel::Quiet); }
-    ~QuietLog() { setLogLevel(saved); }
-
-  private:
-    LogLevel saved;
 };
 
 std::string

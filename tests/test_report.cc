@@ -129,7 +129,8 @@ TEST(Report, DoubleListParsesEveryItemWhole)
     } cases[] = {
         {"8,7,6,5", {8, 7, 6, 5}}, {"2.5", {2.5}}, {nullptr, {1, 2}},
         {"x", {}},   {"8,x", {}},  {"8,,6", {}},  {"8,7,", {}},
-        {",8", {}},  {"8x,7", {}}, {"", {}},
+        {",8", {}},  {"8x,7", {}}, {"", {}},     {"nan", {}},
+        {"8,nan", {}}, {"NaN", {}},
     };
     setErrorHandler(throwingErrorHandler);
     for (const auto &c : cases) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <sys/socket.h>
@@ -47,10 +48,12 @@ using softwatt::CheckpointImage;
 using softwatt::ChunkWriter;
 using softwatt::Config;
 using softwatt::JournalEntry;
+using softwatt::journalKey;
 using softwatt::RunJournal;
 using softwatt::RunSpec;
 using softwatt::ScopedErrorHandler;
 using softwatt::SimError;
+using softwatt::specFingerprint;
 using softwatt::throwingErrorHandler;
 using softwatt::writeCheckpoint;
 
@@ -947,6 +950,37 @@ TEST_F(ServeDirTest, ServerAnswersJournalsAndReplaysAcrossRestart)
     }
 }
 
+namespace
+{
+
+/**
+ * Send a cancel for a job that does not exist and return every
+ * response that arrives before its acknowledgement. A session handles
+ * its lines in order, so once the ack arrives every request sent
+ * before it has been admitted or answered.
+ */
+std::vector<ServeResponse>
+syncSession(ServeClient &client, const std::string &name)
+{
+    ServeRequest ping;
+    ping.op = "cancel";
+    ping.id = "sync";
+    ping.client = name;
+    EXPECT_TRUE(client.send(ping));
+    std::vector<ServeResponse> before;
+    ServeResponse response;
+    std::string error;
+    while (client.receive(response, error)) {
+        if (response.id == "sync")
+            return before;
+        before.push_back(response);
+    }
+    ADD_FAILURE() << "no ack for the sync cancel: " << error;
+    return before;
+}
+
+} // namespace
+
 TEST_F(ServeDirTest, ServerShedsWhenTheQueueIsFull)
 {
     ServeOptions options;
@@ -964,24 +998,164 @@ TEST_F(ServeDirTest, ServerShedsWhenTheQueueIsFull)
     ServeClient client;
     ASSERT_TRUE(client.connect(options.socketPath, error)) << error;
 
-    // Flood the service with slow jobs. The worker, the thread
-    // pool's pending bound, the dispatcher's hand, and the admission
-    // queue together buffer only a handful, so the flood must draw a
-    // structured overloaded rejection long before any job finishes —
-    // and the first response received can only be such a rejection.
-    for (int i = 1; i <= 8; ++i) {
-        ServeRequest request;
+    // One slow job occupies the only worker.
+    ServeRequest request;
+    request.id = "slow-1";
+    request.client = "flood";
+    request.spec = "bench=jess scale=2.0";
+    ASSERT_TRUE(client.send(request));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // serve_queue_max counts the jobs waiting for a worker: of seven
+    // more, one waits and six draw a structured overloaded rejection.
+    // The pauses would let any buffer behind the queue take a job
+    // before the next one arrives.
+    for (int i = 2; i <= 8; ++i) {
         request.id = "slow-" + std::to_string(i);
-        request.client = "flood";
-        request.spec = "bench=jess scale=2.0";
+        ASSERT_TRUE(client.send(request));
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    std::vector<ServeResponse> shed = syncSession(client, "flood");
+    ASSERT_EQ(shed.size(), 6u);
+    for (const ServeResponse &response : shed)
+        EXPECT_EQ(response.status, "overloaded") << response.id;
+    EXPECT_EQ(server.shedJobs(), 6u);
+    // Destructor hard-cancels the in-flight jobs.
+}
+
+TEST_F(ServeDirTest, ServerRoundRobinsEveryWaitingJob)
+{
+    ServeOptions options;
+    options.socketPath = dir + "/serve.sock";
+    options.statePath = dir + "/state";
+    options.jobs = 1;
+    options.retries = 0;
+
+    ServeServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    ServerThread running(server);
+
+    ServeClient alpha;
+    ServeClient beta;
+    ASSERT_TRUE(alpha.connect(options.socketPath, error)) << error;
+    ASSERT_TRUE(beta.connect(options.socketPath, error)) << error;
+
+    // Client a: one slow job on the only worker, then four cheap ones
+    // with distinct specs. Client b then sends one cheap job.
+    ServeRequest request;
+    request.id = "a0";
+    request.client = "a";
+    request.spec = "bench=jess scale=2.0";
+    ASSERT_TRUE(alpha.send(request));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::map<std::string, std::string> jobOf;
+    auto submit = [&](ServeClient &client, const std::string &name,
+                      const std::string &id, const std::string &spec) {
+        request.id = id;
+        request.client = name;
+        request.spec = spec;
+        ASSERT_TRUE(client.send(request));
+        RunSpec parsed;
+        std::string specError;
+        ASSERT_TRUE(parseServeSpec(spec, parsed, specError))
+            << specError;
+        jobOf[journalKey("serve", specFingerprint(parsed))] = id;
+    };
+    for (int i = 1; i <= 4; ++i) {
+        submit(alpha, "a", "a" + std::to_string(i),
+               "bench=jess scale=0.01" + std::to_string(i));
+    }
+    EXPECT_TRUE(syncSession(alpha, "a").empty());
+    submit(beta, "b", "b1", "bench=db scale=0.01");
+    EXPECT_TRUE(syncSession(beta, "b").empty());
+
+    ServeRequest cancel;
+    cancel.op = "cancel";
+    cancel.id = "a0";
+    cancel.client = "a";
+    ASSERT_TRUE(alpha.send(cancel));
+
+    // a's slow job: its cancel ack and its cancelled answer, then the
+    // four cheap answers; b's one answer.
+    ServeResponse response;
+    std::multiset<std::string> slowAnswers;
+    std::set<std::string> cheapAnswers;
+    for (int i = 0; i < 6; ++i) {
+        ASSERT_TRUE(alpha.receive(response, error)) << error;
+        if (response.id == "a0") {
+            slowAnswers.insert(response.status);
+            continue;
+        }
+        EXPECT_EQ(response.status, "ok") << response.id;
+        cheapAnswers.insert(response.id);
+    }
+    EXPECT_EQ(slowAnswers,
+              (std::multiset<std::string>{"cancelled", "ok"}));
+    ASSERT_TRUE(beta.receive(response, error)) << error;
+    EXPECT_EQ(response.status, "ok");
+    cheapAnswers.insert(response.id);
+    EXPECT_EQ(cheapAnswers.size(), 5u);
+
+    // One worker journals its answers in the order it ran them:
+    // round-robin puts b's job right after a's first cheap one.
+    std::vector<std::string> order;
+    for (const JournalEntry &entry :
+         RunJournal::load(server.journalPath())) {
+        auto it = jobOf.find(journalKey(entry.experiment, entry.config));
+        ASSERT_NE(it, jobOf.end());
+        order.push_back(it->second);
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{"a1", "b1", "a2", "a3",
+                                               "a4"}));
+    running.drain();
+}
+
+TEST_F(ServeDirTest, ServerHardStopAnswersEveryQueuedJob)
+{
+    ServeOptions options;
+    options.socketPath = dir + "/serve.sock";
+    options.statePath = dir + "/state";
+    options.jobs = 1;
+    options.retries = 0;
+
+    ServeServer server(options);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    ServerThread running(server);
+
+    ServeClient client;
+    ASSERT_TRUE(client.connect(options.socketPath, error)) << error;
+
+    // One slow job on the only worker, three more waiting behind it.
+    ServeRequest request;
+    request.id = "running";
+    request.client = "stop";
+    request.spec = "bench=jess scale=2.0";
+    ASSERT_TRUE(client.send(request));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    for (int i = 1; i <= 3; ++i) {
+        request.id = "queued-" + std::to_string(i);
         ASSERT_TRUE(client.send(request));
     }
+    EXPECT_TRUE(syncSession(client, "stop").empty());
 
+    // A hard stop answers every waiting job the same way and cancels
+    // the running one at its next sample window.
+    running.stop.request(CancelToken::Hard);
+    std::set<std::string> queued;
     ServeResponse response;
-    ASSERT_TRUE(client.receive(response, error)) << error;
-    EXPECT_EQ(response.status, "overloaded");
-    EXPECT_GE(server.shedJobs(), 1u);
-    // Destructor hard-cancels the in-flight jobs.
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_TRUE(client.receive(response, error)) << error;
+        EXPECT_EQ(response.status, "cancelled") << response.id;
+        if (response.id == "running")
+            continue;
+        EXPECT_EQ(response.error, "cancelled by daemon shutdown")
+            << response.id;
+        queued.insert(response.id);
+    }
+    EXPECT_EQ(queued, (std::set<std::string>{"queued-1", "queued-2",
+                                             "queued-3"}));
 }
 
 TEST_F(ServeDirTest, ServerCancelsAndEnforcesWallDeadlines)
@@ -1000,7 +1174,8 @@ TEST_F(ServeDirTest, ServerCancelsAndEnforcesWallDeadlines)
     ServeClient client;
     ASSERT_TRUE(client.connect(options.socketPath, error)) << error;
 
-    // A job with a tiny wall budget is cancelled by the deadliner.
+    // A job with a tiny wall budget is cancelled by the accept loop's
+    // deadline scan.
     ServeRequest request;
     request.id = "deadline";
     request.client = "e2e";
