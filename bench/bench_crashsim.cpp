@@ -213,8 +213,11 @@ recordPool(const std::string &root)
     return session;
 }
 
-/** Dump recorded op logs as JSONL (the CI failure artifact). */
-void
+/**
+ * Dump recorded op logs as JSONL (the CI failure artifact).
+ * @return false when the file could not be written whole.
+ */
+bool
 dumpOpLogs(const std::string &path,
            const std::vector<Session> &sessions)
 {
@@ -239,6 +242,7 @@ dumpOpLogs(const std::string &path,
             ++index;
         }
     }
+    return bool(out.flush());
 }
 
 /**
@@ -392,8 +396,10 @@ main(int argc, char **argv)
         std::cout << "  " << session.name << ": "
                   << session.log.size() << " host-I/O ops\n";
     }
-    if (!oplogOut.empty())
-        dumpOpLogs(oplogOut, sessions);
+    if (!oplogOut.empty() && !dumpOpLogs(oplogOut, sessions)) {
+        fs::remove_all(base);
+        fatal("cannot write " + oplogOut);
+    }
 
     // Replaying is silent work; recovery legitimately warns about
     // the torn lines and images the crash states contain.

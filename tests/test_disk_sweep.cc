@@ -2,13 +2,15 @@
  * @file
  * Parameterized disk-policy property sweep: the spin-down trade-off
  * of Section 4 as enforceable invariants over threshold and gap
- * structure.
+ * structure, and the whole-system twin runs Figure 9 relies on.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "core/experiment.hh"
+#include "core/invariants.hh"
 #include "disk/disk.hh"
 #include "sim/event_queue.hh"
 
@@ -132,6 +134,113 @@ TEST(DiskPolicyProperties, IdleOnlyTimingEqualsConventional)
     PatternResult idle = runPattern(DiskConfig::idleOnly(), gaps);
     PatternResult conv = runPattern(DiskConfig::conventional(), gaps);
     EXPECT_EQ(idle.endTick, conv.endTick);
+}
+
+namespace
+{
+
+/** Runs of @p config under the conventional and IDLE-only disks. */
+struct TwinRuns
+{
+    BenchmarkRun conventional;
+    BenchmarkRun idle;
+};
+
+TwinRuns
+runTwins(Benchmark bench, const SystemConfig &config, double scale)
+{
+    SystemConfig conventional = config;
+    conventional.diskConfig.kind = DiskConfigKind::Conventional;
+    SystemConfig idle = config;
+    idle.diskConfig.kind = DiskConfigKind::IdleOnly;
+    return {runBenchmark(bench, conventional, scale),
+            runBenchmark(bench, idle, scale)};
+}
+
+/**
+ * Without a governor the conventional run repeats its IDLE-only twin
+ * cycle for cycle, and the twin's conventional re-pricing is the
+ * conventional run's disk energy: bench_fig9 prints its Baseline
+ * column from the IDLE-only run alone.
+ */
+void
+expectIdleTwinRepeatsConventional(const TwinRuns &runs)
+{
+    const System &conv = *runs.conventional.system;
+    const System &idle = *runs.idle.system;
+    EXPECT_EQ(conv.now(), idle.now());
+    EXPECT_EQ(conv.totals().raw(), idle.totals().raw());
+    for (ServiceKind kind : allServices) {
+        const ServiceStats &a = conv.kernel().serviceStats(kind);
+        const ServiceStats &b = idle.kernel().serviceStats(kind);
+        SCOPED_TRACE(serviceName(kind));
+        EXPECT_EQ(a.invocations, b.invocations);
+        EXPECT_EQ(a.cycles, b.cycles);
+        EXPECT_EQ(a.energyJ, b.energyJ);
+        EXPECT_EQ(a.componentEnergyJ, b.componentEnergyJ);
+        EXPECT_EQ(a.energySum, b.energySum);
+        EXPECT_EQ(a.energySumSq, b.energySumSq);
+        EXPECT_EQ(a.energyMin, b.energyMin);
+        EXPECT_EQ(a.energyMax, b.energyMax);
+    }
+    EXPECT_TRUE(invariantApproxEqual(conv.diskEnergyJ(),
+                                     idle.diskEnergyConventionalJ()))
+        << conv.diskEnergyJ() << " J vs "
+        << idle.diskEnergyConventionalJ() << " J";
+}
+
+} // namespace
+
+namespace softwatt
+{
+
+/** Test names print the benchmark ("compress", "jess", ...). */
+void
+PrintTo(Benchmark bench, std::ostream *out)
+{
+    *out << benchmarkName(bench);
+}
+
+} // namespace softwatt
+
+class IdleOnlyTwin : public ::testing::TestWithParam<Benchmark>
+{
+};
+
+TEST_P(IdleOnlyTwin, RepeatsConventionalRunWithoutGovernor)
+{
+    expectIdleTwinRepeatsConventional(
+        runTwins(GetParam(), SystemConfig{}, 0.02));
+}
+
+INSTANTIATE_TEST_SUITE_P(Benchmarks, IdleOnlyTwin,
+                         ::testing::ValuesIn(allBenchmarks),
+                         ::testing::PrintToStringParamName());
+
+TEST(DiskPolicyProperties, IdleOnlyTwinRepeatsConventionalUnderFaults)
+{
+    SystemConfig config;
+    config.diskConfig.fault.enabled = true;
+    config.diskConfig.fault.transientErrorRate = 0.2;
+    TwinRuns runs = runTwins(Benchmark::Jess, config, 0.02);
+    EXPECT_GT(runs.idle.system->totals().total(CounterId::DiskFault),
+              0u);
+    expectIdleTwinRepeatsConventional(runs);
+}
+
+TEST(DiskPolicyProperties, GovernorSeparatesIdleOnlyTwin)
+{
+    // The DVFS governor reads disk watts, so the two disks steer the
+    // run apart: bench_fig9 runs its baseline when dvfs=1.
+    SystemConfig config;
+    config.dvfsEnabled = true;
+    config.powerBudgetW = 6.0;
+    TwinRuns runs = runTwins(Benchmark::Compress, config, 0.05);
+    const System &conv = *runs.conventional.system;
+    const System &idle = *runs.idle.system;
+    EXPECT_NE(conv.now(), idle.now());
+    EXPECT_GT(conv.diskEnergyJ(),
+              1.1 * idle.diskEnergyConventionalJ());
 }
 
 TEST(DiskPolicyProperties, ThresholdBelowGapMinusSpinupWins)

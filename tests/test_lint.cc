@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the softwatt-lint determinism linter: each rule is
+ * Tests for the determinism linter's token rules: each rule is
  * exercised with a negative fixture, masking keeps comments and
  * strings from triggering rules, and path scoping plus the
  * suppression list behave as documented.

@@ -3,8 +3,8 @@
  * softwatt-analyze: a declaration-aware whole-program contract
  * analyzer for the SoftWatt tree.
  *
- * Where softwatt-lint bans individual tokens file-by-file, this tool
- * parses lightweight structure out of the sources — class data
+ * Where the linter's token rules (tools/lint) ban individual tokens
+ * file by file, these rules parse lightweight structure out of the sources — class data
  * members, saveState/loadState bodies, config-key call sites,
  * include edges — and checks the cross-cutting contracts the repo's
  * reproducibility story rests on:
@@ -53,7 +53,8 @@
  * The parser is deliberately lightweight — no preprocessor, no real
  * C++ grammar — but declaration-aware enough for this codebase's
  * house style; it shares the masking/suppression substrate in
- * tools/common with softwatt-lint.
+ * tools/common with the token rules, and the softwatt-analyze binary
+ * runs both rule sets.
  */
 
 #ifndef SOFTWATT_TOOLS_ANALYZE_ANALYZE_HH
@@ -99,8 +100,8 @@ const std::map<std::string, std::set<std::string>> &layerDag();
 
 /**
  * Run every rule over @p input and return the findings sorted by
- * (path, line, rule). Baseline filtering is the caller's job (see
- * tools::Suppressions::apply), so stale baseline entries can be
+ * (path, line, rule). Suppression is the caller's job (see
+ * tools::Suppressions::apply), so stale suppression entries can be
  * reported.
  */
 std::vector<Finding> analyzeSources(const AnalyzerInput &input);

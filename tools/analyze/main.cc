@@ -1,25 +1,30 @@
 /**
  * @file
- * softwatt-analyze entry point: whole-program contract checks.
+ * softwatt-analyze entry point: the repo's one source checker.
  *
- *   softwatt-analyze [--baseline FILE] [--json=FILE]
+ *   softwatt-analyze [--suppressions FILE] [--json=FILE]
  *                    [--experiments FILE] ROOT...
  *
- * All .cc/.hh/.cpp/.hpp/.h files under each ROOT are parsed together
- * (the rules are cross-file: a class declared in src/mem/cache.hh is
- * checked against bodies defined in src/mem/cache.cc). Findings are
- * printed as "path:line: [rule] message" and the exit status is
- * nonzero when any finding survives the baseline.
+ * All .cc/.hh/.cpp/.hpp/.h files under each ROOT are checked against
+ * the determinism linter's token rules (tools/lint, file by file) and
+ * the whole-program contract rules (analyze.hh, all files together:
+ * a class declared in src/mem/cache.hh is checked against bodies
+ * defined in src/mem/cache.cc). Findings are printed as
+ * "path:line: [rule] message", sorted by path, line and rule, and the
+ * exit status is nonzero when any finding survives the suppressions.
+ * Paths are relative to the parent of ROOT, so running from anywhere
+ * over the repo's src bench examples yields repo-relative paths — the
+ * form the suppression file and the path-scoped rules match against.
  *
- * --baseline FILE uses the shared "<path> <rule>" suppression format
- * to grandfather known findings; entries that no longer match
- * anything are reported as warnings so the baseline shrinks over
- * time instead of rotting. --experiments FILE points at
- * EXPERIMENTS.md for the config-key documentation check (omitting it
- * disables that half of the rule). --json=FILE writes surviving
- * findings in the shared one-per-line JSON schema.
+ * --suppressions FILE reads the "<path> <rule>" list
+ * (common/scanner.hh); entries that silenced nothing are reported as
+ * warnings so the list stays short and current. --experiments FILE
+ * points at EXPERIMENTS.md for the config-key documentation check
+ * (omitting it disables that half of the rule). --json=FILE writes
+ * surviving findings one JSON object per line.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -29,6 +34,7 @@
 
 #include "analyze/analyze.hh"
 #include "common/scanner.hh"
+#include "lint/softwatt_lint.hh"
 
 namespace fs = std::filesystem;
 namespace tools = softwatt::tools;
@@ -43,7 +49,7 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--baseline FILE] [--json=FILE] "
+                 "usage: %s [--suppressions FILE] [--json=FILE] "
                  "[--experiments FILE] ROOT...\n",
                  argv0);
     return 2;
@@ -55,13 +61,13 @@ int
 main(int argc, char **argv)
 {
     std::vector<fs::path> roots;
-    tools::Suppressions baseline;
+    tools::Suppressions suppressions;
     std::string json_path;
     std::string experiments_path;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--baseline") {
+        if (arg == "--suppressions") {
             if (++i >= argc)
                 return usage(argv[0]);
             std::string text;
@@ -71,7 +77,7 @@ main(int argc, char **argv)
                 return 2;
             }
             std::string error;
-            if (!baseline.parse(text, error)) {
+            if (!suppressions.parse(text, error)) {
                 std::fprintf(stderr, "%s: %s: %s\n", argv[0],
                              argv[i], error.c_str());
                 return 2;
@@ -120,7 +126,14 @@ main(int argc, char **argv)
 
     std::vector<Finding> findings =
         softwatt::analyze::analyzeSources(input);
-    baseline.apply(findings);
+    suppressions.apply(findings);
+    for (const SourceText &source : input.files) {
+        for (Finding &f : softwatt::lint::lintSource(
+                 source.path, source.text, suppressions)) {
+            findings.push_back(std::move(f));
+        }
+    }
+    std::sort(findings.begin(), findings.end(), tools::findingLess);
 
     for (const Finding &f : findings) {
         std::printf("%s:%d: [%s] %s\n", f.path.c_str(), f.line,
@@ -129,19 +142,19 @@ main(int argc, char **argv)
 
     if (!json_path.empty()) {
         std::ofstream out(json_path);
-        if (!out) {
+        tools::writeFindingsJson(out, "softwatt-analyze", findings);
+        if (!out.flush()) {
             std::fprintf(stderr, "%s: cannot write %s\n", argv[0],
                          json_path.c_str());
             return 2;
         }
-        tools::writeFindingsJson(out, "softwatt-analyze", findings);
     }
 
-    for (const std::string &entry : baseline.unusedEntries()) {
+    for (const std::string &entry : suppressions.unusedEntries()) {
         std::fprintf(stderr,
-                     "softwatt-analyze: warning: unused baseline "
-                     "entry '%s' (no finding left to grandfather; "
-                     "remove it from the baseline)\n",
+                     "softwatt-analyze: warning: unused suppression "
+                     "entry '%s' (nothing left to silence; remove it "
+                     "from the suppressions file)\n",
                      entry.c_str());
     }
 

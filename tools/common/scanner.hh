@@ -1,11 +1,12 @@
 /**
  * @file
- * Shared infrastructure for the repo's source scanners
- * (softwatt-lint, softwatt-analyze): file walking, comment/string
- * masking, the checked-in suppression/baseline list, and the common
- * finding record with its text and JSON emission formats.
+ * Shared infrastructure for the repo's source rules (the linter's
+ * token rules and the analyzer's whole-program rules, both run by
+ * softwatt-analyze): file walking, comment/string masking, the
+ * checked-in suppression list, and the common finding record with
+ * its text and JSON emission formats.
  *
- * Both tools are deliberately token-based rather than AST-based: the
+ * Both rule sets are deliberately token-based rather than AST-based: the
  * constructs they check are identifiable after comments and string
  * literals are masked out, which keeps them dependency-free and fast
  * enough to run on every build.
@@ -118,8 +119,7 @@ std::string jsonEscape(const std::string &text);
 /**
  * Emit findings machine-readably: one JSON object per line
  * ({"tool":..., "path":..., "line":N, "rule":..., "message":...}),
- * in the order given — the shared schema both softwatt-lint and
- * softwatt-analyze produce so CI can annotate findings uniformly.
+ * in the order given, so CI can annotate findings.
  */
 void writeFindingsJson(std::ostream &out, const std::string &tool,
                        const std::vector<Finding> &findings);

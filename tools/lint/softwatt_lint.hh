@@ -1,6 +1,7 @@
 /**
  * @file
- * The softwatt-lint determinism linter.
+ * The determinism linter's token rules, run file by file by
+ * softwatt-analyze beside its whole-program rules.
  *
  * A small source scanner enforcing the repo's reproducibility
  * contract: simulation results must be a pure function of the
@@ -9,8 +10,7 @@
  * the error-handler path, must not emit reports from unordered
  * containers, and must use the SW_ASSERT/SW_CHECK contract macros
  * instead of raw assert(). The scanning substrate (masking, file
- * walking, suppressions, JSON emission) lives in tools/common and is
- * shared with softwatt-analyze.
+ * walking, suppressions, JSON emission) lives in tools/common.
  */
 
 #ifndef SOFTWATT_TOOLS_LINT_SOFTWATT_LINT_HH

@@ -13,8 +13,8 @@
  * Cold-reference mode (no daemon): cold=1 executes the spec locally
  * with the same autosave cadence the daemon uses (warm_s= must match
  * the daemon's serve_warm_s=) but without retaining or restoring any
- * checkpoint, producing the byte-identical cold document the CI
- * smoke job compares daemon answers against:
+ * checkpoint, producing the byte-identical cold document the
+ * cli.serve check compares daemon answers against:
  *
  *   softwatt-serve-client cold=1 warm_s=T spec="..." out=ref.json
  */
@@ -25,6 +25,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -51,13 +52,13 @@ emitDocument(const std::string &path, const std::string &document)
         return true;
     }
     std::ofstream out(path);
-    if (!out) {
-        std::cerr << "softwatt-serve-client: cannot open '" << path
+    out << document;
+    if (!out.flush()) {
+        std::cerr << "softwatt-serve-client: cannot write '" << path
                   << "'\n";
         return false;
     }
-    out << document;
-    return out.good();
+    return true;
 }
 
 /** Run the spec locally as the daemon's cold reference twin. */
@@ -75,11 +76,12 @@ runCold(const std::string &experiment, const std::string &specText,
     // Scratch pool (budget 0): the run autosaves at the daemon's
     // cadence — checkpointing perturbs deterministically, so cadence
     // must match for byte-identity — but restores nothing and
-    // retains nothing.
+    // retains nothing. It lives in the temp directory, since out=
+    // may name a device.
     std::string scratchDir =
-        (outPath.empty() || outPath == "-" ? std::string("cold")
-                                           : outPath) +
-        ".scratch";
+        (std::filesystem::temp_directory_path() /
+         ("softwatt-cold-" + std::to_string(getpid())))
+            .string();
     std::error_code ec;
     std::filesystem::create_directories(scratchDir, ec);
     if (ec) {
