@@ -6,15 +6,18 @@
  * The runs are the six benchmarks on both CPU models plus jess under
  * the configurations that exercise each core's unusual paths. For the
  * superscalar core: a window that is not a power of two, a window
- * wider than one 64-bit word, DVFS throttling, a spin-down disk and
- * disk faults. For the in-order core: a sample window that is not a
- * round number, a long memory latency, small and mid-sized TLBs,
+ * wider than one 64-bit word, DVFS throttling, a spin-down disk, disk
+ * faults, and the rows that bound its quiet-cycle fold: a sample
+ * window that is not a round number, a long memory latency, a small
+ * TLB (trap squashes), halted idle, an autosave every 40k cycles and
+ * two runs cut short. For the in-order core: a sample window that is
+ * not a round number, a long memory latency, small and mid-sized TLBs,
  * halted idle, DVFS throttling, and four runs cut short. Of those,
  * deadline_s=0.00041 and max_cycles=70001 expire part-way through a
  * multi-cycle instruction, deadline_s=0.0004 expires between two
  * instructions, and max_cycles=150001 is overshot by an idle
- * fast-forward. One in-order row autosaves every 40k cycles: each
- * autosave squashes the instruction in flight, so its digest pins the
+ * fast-forward. One row per core autosaves every 40k cycles: each
+ * autosave squashes the instructions in flight, so its digest pins the
  * ticks at which checkpoints are taken, and the row also pins the
  * digest of its final autosave file (the checkpoint format itself).
  * A second autosaving in-order row runs the managed path: 2000-cycle
@@ -78,6 +81,13 @@ const GoldenRun goldenTable[] = {
     {"jess", "cpu.model=superscalar dvfs=1 power_budget_w=6", 0x478d4140fcd3fa2bull},
     {"jess", "cpu.model=superscalar disk.config=spindown disk.threshold_s=0.001", 0x378c18ef87c14afcull},
     {"jess", "cpu.model=superscalar disk.fault.enabled=1 disk.fault.transient_rate=0.2", 0x2055b0d968647c87ull},
+    {"jess", "cpu.model=superscalar sample_window=997", 0xd4a9c7f4a9db9bd1ull},
+    {"jess", "cpu.model=superscalar mem.latency=300", 0xd842ba4c935180aaull},
+    {"jess", "cpu.model=superscalar tlb.entries=8", 0x67f5ea09336e34a7ull},
+    {"jess", "cpu.model=superscalar halt_on_idle=1", 0x52b0cbda2327fe77ull},
+    {"jess", "cpu.model=superscalar checkpoint_every_s=0.0002", 0xb6d4b68e1b3f1ca3ull, RunOutcome::Completed, 0xdfaae7b5669b83b9ull},
+    {"jess", "cpu.model=superscalar deadline_s=0.00041", 0x8471e617eba342a8ull, RunOutcome::DeadlineExceeded},
+    {"jess", "cpu.model=superscalar max_cycles=70001", 0x9e07647d408631d0ull, RunOutcome::WatchdogExpired},
     {"jess", "cpu.model=inorder sample_window=997", 0xca7e876264d5f95aull},
     {"jess", "cpu.model=inorder mem.latency=300", 0xbdfad31dc665e09dull},
     {"jess", "cpu.model=inorder tlb.entries=8", 0x759f22f9b9df1144ull},
