@@ -115,6 +115,17 @@ StreamGen::StreamGen(const StreamSpec &spec, std::uint64_t seed)
     if (spec.codeFootprint < 64 || spec.dataFootprint < 64)
         fatal("stream footprints must be at least 64 bytes");
     buildClassPattern();
+    setThresholds();
+}
+
+void
+StreamGen::setThresholds()
+{
+    const StreamSpec &s = streamSpec;
+    depThreshold = Random::chanceThreshold(s.depProb);
+    localityThreshold = Random::chanceThreshold(s.spatialLocality);
+    coldThreshold = Random::chanceThreshold(s.coldAccessProb);
+    takenThreshold = Random::chanceThreshold(s.takenProb);
 }
 
 namespace
@@ -259,17 +270,17 @@ StreamGen::pickDst()
 std::uint8_t
 StreamGen::pickSrc()
 {
-    if (recentCount > 0 && rng.chance(streamSpec.depProb)) {
-        // Depend on one of the last depWindow results.
-        int window = streamSpec.depWindow < recentCount
-                         ? streamSpec.depWindow
-                         : recentCount;
-        int back = 1 + int(rng.below(std::uint64_t(window)));
-        int idx = (recentCount - back) % 8;
-        return recentDst[idx < 0 ? idx + 8 : idx];
-    }
-    // A long-dead register: almost certainly ready.
-    return std::uint8_t(48 + rng.below(15));
+    // The dependence draw picks the bound of the register draw: one
+    // of the last depWindow results, or one of the long-dead
+    // registers 48..62, which are almost certainly ready. Both
+    // outcomes are selected, not branched to.
+    bool dep = recentCount > 0 && rng.chanceBelow(depThreshold);
+    int window = streamSpec.depWindow < recentCount
+                     ? streamSpec.depWindow
+                     : recentCount;
+    std::uint64_t pick = rng.below(dep ? std::uint64_t(window) : 15);
+    std::uint8_t recent = recentDst[(recentCount - 1 - int(pick)) & 7];
+    return dep ? recent : std::uint8_t(48 + pick);
 }
 
 Addr
@@ -279,13 +290,13 @@ StreamGen::pickDataAddr()
     std::uint64_t hot = s.hotFootprint < s.dataFootprint
                             ? s.hotFootprint
                             : s.dataFootprint;
-    if (rng.chance(s.spatialLocality)) {
+    if (rng.chanceBelow(localityThreshold)) {
         nextDataAddr += 8;
         if (nextDataAddr >= s.dataBase + hot)
             nextDataAddr = s.dataBase;
         return nextDataAddr;
     }
-    if (s.coldAccessProb > 0 && rng.chance(s.coldAccessProb)) {
+    if (coldThreshold > 0 && rng.chanceBelow(coldThreshold)) {
         // Cold access across the full footprint: the TLB-miss source.
         return s.dataBase + (rng.below(s.dataFootprint) & ~Addr(7));
     }
@@ -363,7 +374,7 @@ StreamGen::next(MicroOp &op)
             if (predictable_site) {
                 op.taken = ((site >> 24) & 7) != 0;  // mostly taken
             } else {
-                op.taken = rng.chance(s.takenProb);
+                op.taken = rng.chanceBelow(takenThreshold);
             }
             if (op.taken) {
                 // The target is a fixed, BTB-learnable property of
@@ -431,6 +442,7 @@ StreamGen::loadState(ChunkReader &in)
 {
     streamSpec.loadState(in);
     buildClassPattern();  // spec-derived, rng-free
+    setThresholds();
     rng.setRawState(in.u64());
     pc = in.u64();
     nextDataAddr = in.u64();

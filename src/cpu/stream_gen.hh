@@ -122,6 +122,18 @@ class StreamGen : public InstSource
     /** Fill classPattern, from this thread's memo when it can. */
     void buildClassPattern();
 
+    /**
+     * Random::chanceThreshold() of the spec's draw probabilities, so
+     * each draw is one integer compare.
+     */
+    // ckpt:derived: recomputed from streamSpec by setThresholds()
+    std::uint64_t depThreshold = 0;
+    std::uint64_t localityThreshold = 0;  // ckpt:derived: as above
+    std::uint64_t coldThreshold = 0;      // ckpt:derived: as above
+    std::uint64_t takenThreshold = 0;     // ckpt:derived: as above
+
+    void setThresholds();
+
     /** The pattern of @p spec's mix, computed from scratch. */
     static void computeClassPattern(
         const StreamSpec &spec, std::uint8_t (&pattern)[patternLength]);

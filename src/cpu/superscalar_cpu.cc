@@ -24,6 +24,56 @@ clearBit(std::uint64_t *words, std::size_t bit)
     words[bit / 64] &= ~(std::uint64_t(1) << (bit % 64));
 }
 
+/** Functional-unit pools of the select stage. */
+enum UnitPool : std::uint8_t
+{
+    IntPool,
+    FpPool,
+    MemPool,
+    NoPool,  ///< Needs no unit: only the issue width limits it.
+    numPools,
+};
+
+/** Memory ports: loads and stores issued per cycle. */
+constexpr int memPorts = 2;
+
+constexpr std::uint8_t fpLatency = 3;
+
+/**
+ * What issue does for an op of each class: the pool it takes a unit
+ * from, the counter its execution bumps (by unitCount, 0 or 1), and
+ * its latency (a load's comes from the memory system instead).
+ */
+struct IssueClass
+{
+    UnitPool pool;
+    CounterId unitCounter;
+    std::uint8_t unitCount;
+    std::uint8_t latency;
+};
+
+/**
+ * Indexed by InstClass masked to three bits, so an out-of-range
+ * class (only a corrupt replayed op could carry one) still reads a
+ * row: the last, which like Syscall and Nop needs no unit.
+ */
+constexpr IssueClass issueClasses[8] = {
+    {IntPool, CounterId::IntAluOp, 1, 1},  // IntAlu
+    {FpPool, CounterId::FpAluOp, 1, fpLatency},  // FpAlu
+    {MemPool, CounterId::LsqOp, 1, 1},     // Load
+    {MemPool, CounterId::LsqOp, 1, 1},     // Store
+    {IntPool, CounterId::IntAluOp, 0, 1},  // Branch
+    {NoPool, CounterId::IntAluOp, 0, 1},   // Syscall
+    {NoPool, CounterId::IntAluOp, 0, 1},   // Nop
+    {NoPool, CounterId::IntAluOp, 0, 1},
+};
+
+const IssueClass &
+issueClassOf(InstClass cls)
+{
+    return issueClasses[std::uint8_t(cls) & 7];
+}
+
 } // namespace
 
 SuperscalarCpu::SuperscalarCpu(const MachineParams &params,
@@ -64,6 +114,16 @@ SuperscalarCpu::readyWindow() const
     static_assert(issueScanLimit < 64, "candidates fit one word");
     std::uint64_t n =
         std::min<std::uint64_t>(issueScanLimit, robSize());
+    if (slotWords == 1) {
+        // The ring fits one word: rotate the head's slot to bit 0.
+        // Bits past the ring's width are cut by the n-bit mask, since
+        // n never exceeds the ring's size.
+        std::uint64_t bits = readyBits[0];
+        std::uint64_t head = headSeq & robMask;
+        std::uint64_t rotated =
+            (bits >> head) | ((bits << 1) << (robMask - head));
+        return rotated & ((std::uint64_t(1) << n) - 1);
+    }
     std::uint64_t window = 0;
     for (std::uint64_t got = 0; got < n;) {
         std::uint64_t slot = (headSeq + got) & robMask;
@@ -130,6 +190,7 @@ SuperscalarCpu::squashAllCollect()
 {
     std::vector<MicroOp> replay = squashWindow();
     fetchBusyUntil = 0;
+    drainNotified = false;
     return replay;
 }
 
@@ -138,6 +199,7 @@ SuperscalarCpu::squashAll()
 {
     resetWindow(nextSeq);
     fetchBusyUntil = 0;
+    drainNotified = false;
 }
 
 void
@@ -163,6 +225,7 @@ SuperscalarCpu::loadState(ChunkReader &in)
     now = in.u64();
     mispredStalls = in.u64();
     headSeq = nextSeq;  // an empty ring anchored at the restored seq
+    drainNotified = false;
 }
 
 void
@@ -176,10 +239,8 @@ SuperscalarCpu::doCommit()
         ++totalCommitted;
         sink.add(entry.op.mode, CounterId::CommittedInsts, 1,
                  entry.op.frameTag);
-        if (entry.op.dst != noReg &&
-            regProducer[entry.op.dst] == entry.seq) {
+        if (regProducer[entry.op.dst] == entry.seq)
             regProducer[entry.op.dst] = 0;
-        }
         if (entry.op.cls == InstClass::Syscall) {
             if (blockedSyscallSeq == entry.seq)
                 blockedSyscallSeq = 0;
@@ -198,12 +259,11 @@ SuperscalarCpu::complete(std::uint32_t slot)
 {
     Entry &entry = rob[slot];
     entry.state = EntryState::Completed;
-    if (entry.op.dst != noReg) {
-        sink.add(entry.op.mode, CounterId::RegFileWrite, 1,
-                 entry.op.frameTag);
-        sink.add(entry.op.mode, CounterId::ResultBusOp, 1,
-                 entry.op.frameTag);
-    }
+    std::uint64_t writes = entry.op.dst != noReg;
+    sink.add(entry.op.mode, CounterId::RegFileWrite, writes,
+             entry.op.frameTag);
+    sink.add(entry.op.mode, CounterId::ResultBusOp, writes,
+             entry.op.frameTag);
     if (entry.mispredicted && fetchBlockedOnBranch == entry.seq)
         fetchBlockedOnBranch = 0;  // redirect resolved
 
@@ -249,9 +309,8 @@ SuperscalarCpu::doIssue()
               "SuperscalarCpu: ready bits disagree with entry states");
 
     int issued = 0;
-    int int_units = params.intAlus;
-    int fp_units = params.fpAlus;
-    int mem_ports = 2;
+    int units[numPools] = {params.intAlus, params.fpAlus, memPorts,
+                           params.issueWidth};
 
     while (candidates != 0 && issued < params.issueWidth) {
         std::uint64_t seq = headSeq + std::countr_zero(candidates);
@@ -260,61 +319,28 @@ SuperscalarCpu::doIssue()
         Entry &entry = rob[slot];
 
         const MicroOp &op = entry.op;
-        switch (op.cls) {
-          case InstClass::IntAlu:
-          case InstClass::Branch:
-            if (int_units == 0)
-                continue;
-            break;
-          case InstClass::FpAlu:
-            if (fp_units == 0)
-                continue;
-            break;
-          case InstClass::Load:
-          case InstClass::Store:
-            if (mem_ports == 0)
-                continue;
-            break;
-          default:
-            break;
-        }
+        const IssueClass &unit = issueClassOf(op.cls);
+        if (units[unit.pool] == 0)
+            continue;
+        --units[unit.pool];
 
         // Register file reads and wakeup/select on issue.
-        int reads = (op.srcA != noReg) + (op.srcB != noReg);
-        if (reads)
-            sink.add(op.mode, CounterId::RegFileRead, reads,
-                     op.frameTag);
+        sink.add(op.mode, CounterId::RegFileRead,
+                 (op.srcA != noReg) + (op.srcB != noReg), op.frameTag);
         sink.add(op.mode, CounterId::IssueWindowOp, 1, op.frameTag);
+        sink.add(op.mode, unit.unitCounter, unit.unitCount,
+                 op.frameTag);
 
-        std::uint64_t latency = 1;
-        switch (op.cls) {
-          case InstClass::IntAlu:
-            --int_units;
-            sink.add(op.mode, CounterId::IntAluOp, 1, op.frameTag);
-            break;
-          case InstClass::Branch:
-            --int_units;
-            break;
-          case InstClass::FpAlu:
-            --fp_units;
-            sink.add(op.mode, CounterId::FpAluOp, 1, op.frameTag);
-            latency = fpLatency;
-            break;
-          case InstClass::Load:
-          case InstClass::Store: {
-            --mem_ports;
-            sink.add(op.mode, CounterId::LsqOp, 1, op.frameTag);
+        std::uint64_t latency = unit.latency;
+        if (op.isMemOp()) {
             bool is_store = op.cls == InstClass::Store;
             MemAccessOutcome data = hierarchy.dataAccess(
                 op.memAddr, is_store, op.mode, op.frameTag);
             sink.add(op.mode, is_store ? CounterId::StoreInsts
                                        : CounterId::LoadInsts,
                      1, op.frameTag);
-            latency = is_store ? 1 : std::uint64_t(data.latency);
-            break;
-          }
-          default:
-            break;
+            if (!is_store)
+                latency = std::uint64_t(data.latency);
         }
 
         entry.state = EntryState::Issued;
@@ -360,10 +386,8 @@ SuperscalarCpu::doDispatch()
         Entry &entry = rob[slot];
         entry.op = fetched.op;
         entry.seq = seq;
-        entry.depA = entry.op.srcA != noReg ? regProducer[entry.op.srcA]
-                                            : 0;
-        entry.depB = entry.op.srcB != noReg ? regProducer[entry.op.srcB]
-                                            : 0;
+        entry.depA = regProducer[entry.op.srcA];
+        entry.depB = regProducer[entry.op.srcB];
         entry.completeAt = 0;
         entry.state = EntryState::Waiting;
         entry.mispredicted = fetched.mispredicted;
@@ -389,17 +413,15 @@ SuperscalarCpu::doDispatch()
             wait_on(entry.depB);
         if (entry.pending == 0)
             setBit(readyBits.data(), slot);
-        if (entry.op.dst != noReg)
-            regProducer[entry.op.dst] = seq;
+        regProducer[entry.op.dst] = seq;
+        regProducer[noReg] = 0;
 
         sink.add(entry.op.mode, CounterId::RenameOp, 1,
                  entry.op.frameTag);
         sink.add(entry.op.mode, CounterId::IssueWindowOp, 1,
                  entry.op.frameTag);  // insert
-        if (entry.op.isMemOp()) {
-            sink.add(entry.op.mode, CounterId::LsqOp, 1,
-                     entry.op.frameTag);  // allocate
-        }
+        sink.add(entry.op.mode, CounterId::LsqOp, entry.op.isMemOp(),
+                 entry.op.frameTag);  // allocate
         ++dispatched;
     }
     return false;
@@ -420,22 +442,25 @@ SuperscalarCpu::doFetch()
     int fetched = 0;
     while (fetched < params.fetchWidth &&
            int(fetchCount) < fetchQueueCap) {
-        MicroOp op;
-        FetchOutcome outcome = kernel.fetchNext(op);
+        // The op is built in its queue slot; the slot only counts
+        // once an op has been fetched into it.
+        FetchedOp &entry =
+            fetchQueue[(fetchHead + fetchCount) % fetchQueueCap];
+        FetchOutcome outcome = kernel.fetchNext(entry.op);
         if (outcome == FetchOutcome::End) {
             sourceEnded = true;
             return;
         }
         if (outcome == FetchOutcome::Stall)
             return;
+        const MicroOp &op = entry.op;
+        entry.mispredicted = false;
+        entry.tlbProbed = false;
+        entry.tlbMissed = false;
 
         sink.add(op.mode, CounterId::FetchedInsts, 1, op.frameTag);
         MemAccessOutcome fetch_mem =
             hierarchy.ifetch(op.pc, op.mode, op.frameTag);
-
-        FetchedOp &entry =
-            fetchQueue[(fetchHead + fetchCount) % fetchQueueCap];
-        entry = FetchedOp{op};
         ++fetchCount;
         ++fetched;
 
@@ -466,12 +491,9 @@ SuperscalarCpu::doFetch()
     }
 }
 
-bool
-SuperscalarCpu::cycle()
+void
+SuperscalarCpu::setCycleMode()
 {
-    ++now;
-    ++totalCycles;
-
     // Cycle attribution: while the machine is architecturally in
     // kernel mode (trap taken, service not yet complete), cycles
     // belong to the kernel and to the active service invocation;
@@ -491,6 +513,68 @@ SuperscalarCpu::cycle()
     } else {
         sink.setCycleMode(kernel.currentStreamMode(), 0);
     }
+}
+
+Cycles
+SuperscalarCpu::quietCycles() const
+{
+    // Cycle now + k is quiet while no stage can act in it. Writeback
+    // acts from nextCompleteAt on, and fetch, unless blocked by more
+    // than an I-cache walk, from fetchBusyUntil on; nothing else can
+    // change before one of them does.
+    if (now + 1 >= nextCompleteAt)
+        return 0;
+    std::uint64_t until = nextCompleteAt;
+    bool fetch_held = fetchBlockedOnBranch != 0 ||
+                      blockedSyscallSeq != 0 || sourceEnded ||
+                      int(fetchCount) == fetchQueueCap;
+    if (!fetch_held) {
+        if (now + 1 >= fetchBusyUntil)
+            return 0;
+        until = std::min(until, fetchBusyUntil);
+    }
+    if (robSize() > 0 && entryAt(headSeq).state == EntryState::Completed)
+        return 0;  // commit
+    bool window_full =
+        robSize() >= std::uint64_t(params.instWindowSize);
+    bool dispatch_held =
+        fetchQueue[fetchHead].tlbMissed && robSize() > 0;
+    if (fetchCount > 0 && !window_full && !dispatch_held)
+        return 0;  // dispatch, or its TLB probe or trap
+    if (readyWindow() != 0)
+        return 0;  // issue
+    // An empty pipeline calls the kernel's hook every cycle: quiet
+    // only once it has been called with nothing fetched since.
+    if (pipelineEmpty() && (sourceEnded || !drainNotified))
+        return 0;
+    if (blockedSyscallSeq == 0 && kernel.interruptPending())
+        return 0;
+    return until - now - 1;
+}
+
+void
+SuperscalarCpu::skipQuietCycles(Cycles n)
+{
+    SW_ASSERT(n <= quietCycles(),
+              "SuperscalarCpu::skipQuietCycles past a busy cycle");
+    if (fetchBlockedOnBranch != 0) {
+        // doFetch() counts a stall in each cycle past the I-cache walk.
+        std::uint64_t first = std::max(now + 1, fetchBusyUntil);
+        if (now + n >= first)
+            mispredStalls += now + n - first + 1;
+    }
+    now += n;
+    totalCycles += n;
+    setCycleMode();
+    sink.addCycles(n);
+}
+
+bool
+SuperscalarCpu::cycle()
+{
+    ++now;
+    ++totalCycles;
+    setCycleMode();
     sink.addCycle();
 
     if (kernel.interruptPending() && blockedSyscallSeq == 0)
@@ -502,10 +586,11 @@ SuperscalarCpu::cycle()
     if (!doDispatch())
         doFetch();
 
-    if (pipelineEmpty())
+    drainNotified = pipelineEmpty();
+    if (drainNotified)
         kernel.onPipelineEmpty();
 
-    return !(sourceEnded && pipelineEmpty());
+    return !(sourceEnded && drainNotified);
 }
 
 } // namespace softwatt

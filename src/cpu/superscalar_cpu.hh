@@ -66,6 +66,13 @@ class SuperscalarCpu : public Cpu
     bool pipelineEmpty() const override;
     std::vector<MicroOp> squashAllCollect() override;
 
+    /**
+     * Cycles in which no stage can act: nothing can commit, complete,
+     * issue, dispatch or fetch, and no interrupt waits.
+     */
+    Cycles quietCycles() const override;
+    void skipQuietCycles(Cycles n) override;
+
     // Checkpointable (requires a drained pipeline).
     void saveState(ChunkWriter &out) const override;
     void loadState(ChunkReader &in) override;
@@ -103,7 +110,6 @@ class SuperscalarCpu : public Cpu
 
     static constexpr int fetchQueueCap = 16;
     static constexpr int issueScanLimit = 32;
-    static constexpr int fpLatency = 3;
     static constexpr std::uint64_t noCompletion = ~std::uint64_t(0);
     /** blockedSyscallSeq while the syscall is still in the fetch queue. */
     static constexpr std::uint64_t syscallUndispatched = ~std::uint64_t(0);
@@ -128,9 +134,13 @@ class SuperscalarCpu : public Cpu
     std::uint32_t fetchHead = 0;              // ckpt:derived: drained
     std::uint32_t fetchCount = 0;             // ckpt:derived: drained
 
-    /** Latest in-flight producer of each architectural register. */
+    /**
+     * Latest in-flight producer of each register id, 0 if none. It
+     * has a slot for every id so that stages index it without testing
+     * for noReg; the noReg slot always reads 0.
+     */
     // ckpt:derived: squashAll() zeroes this before every checkpoint
-    std::array<std::uint64_t, numArchRegs> regProducer{};
+    std::array<std::uint64_t, 256> regProducer{};
 
     std::uint64_t nextSeq = 1;
     std::uint64_t now = 0;
@@ -140,10 +150,21 @@ class SuperscalarCpu : public Cpu
     std::uint64_t blockedSyscallSeq = 0;    ///< ckpt:derived: drained.
     bool sourceEnded = false;
 
+    /**
+     * The last cycle() ended with the pipeline empty, so it called
+     * kernel.onPipelineEmpty() after its last fetch.
+     */
+    bool drainNotified = false;  // ckpt:derived: squashes clear it
+
     std::uint64_t mispredStalls = 0;
 
     std::uint64_t robSize() const { return nextSeq - headSeq; }
     Entry &entryAt(std::uint64_t seq) { return rob[seq & robMask]; }
+    const Entry &
+    entryAt(std::uint64_t seq) const
+    {
+        return rob[seq & robMask];
+    }
 
     /** True when the producer of @p dep has completed (or retired). */
     bool depSatisfied(std::uint64_t dep);
@@ -170,6 +191,9 @@ class SuperscalarCpu : public Cpu
 
     /** Writeback of one slot: mark it Completed, wake its consumers. */
     void complete(std::uint32_t slot);
+
+    /** Charge the coming cycles to the oldest op or the kernel. */
+    void setCycleMode();
 
     void doCommit();
     void doWriteback();

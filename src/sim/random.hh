@@ -10,6 +10,7 @@
 #ifndef SOFTWATT_SIM_RANDOM_HH
 #define SOFTWATT_SIM_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace softwatt
@@ -66,6 +67,30 @@ class Random
     chance(double p)
     {
         return uniform() < p;
+    }
+
+    /**
+     * The integer form of chance(p): chanceBelow(chanceThreshold(p))
+     * draws once and returns what chance(p) would. uniform() is
+     * d * 2^-53 for the 53-bit draw d, and d * 2^-53 < p exactly when
+     * d < ceil(p * 2^53); p <= 0 and NaN never succeed, p >= 1 always.
+     */
+    static std::uint64_t
+    chanceThreshold(double p)
+    {
+        constexpr double scale = 9007199254740992.0;  // 2^53
+        if (!(p > 0))
+            return 0;
+        if (p >= 1)
+            return std::uint64_t(scale);
+        return std::uint64_t(std::ceil(p * scale));
+    }
+
+    /** Bernoulli draw against a chanceThreshold() value. */
+    bool
+    chanceBelow(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
     }
 
     /**

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "sim/random.hh"
 
 using namespace softwatt;
@@ -93,4 +96,38 @@ TEST(Random, BurstBounded)
         EXPECT_GE(b, 1u);
         EXPECT_LE(b, 16u);
     }
+}
+
+TEST(Random, IntegerChanceMatchesChance)
+{
+    const double ps[] = {0.0, 1e-300, 0.3,  0.85,
+                         1.0, 1.5,    std::numeric_limits<double>::quiet_NaN()};
+    for (double p : ps) {
+        Random real(11), integer(11);
+        std::uint64_t threshold = Random::chanceThreshold(p);
+        for (int i = 0; i < 100'000; ++i) {
+            ASSERT_EQ(integer.chanceBelow(threshold), real.chance(p))
+                << "p=" << p << " draw " << i;
+        }
+    }
+}
+
+TEST(Random, ChanceThresholdSplitsDrawsWhereChanceDoes)
+{
+    // A 53-bit draw d succeeds under chance(p) when d * 2^-53 < p;
+    // the threshold must put the first failing d exactly there.
+    const double unit = 1.0 / 9007199254740992.0;
+    const double ps[] = {1e-300, 0.3, 0.5, 0.85, std::nextafter(1.0, 0.0)};
+    for (double p : ps) {
+        std::uint64_t t = Random::chanceThreshold(p);
+        ASSERT_GT(t, 0u) << p;
+        EXPECT_TRUE(double(t - 1) * unit < p) << p;
+        EXPECT_FALSE(double(t) * unit < p) << p;
+    }
+    EXPECT_EQ(Random::chanceThreshold(0.0), 0u);
+    EXPECT_EQ(Random::chanceThreshold(-0.5), 0u);
+    EXPECT_EQ(Random::chanceThreshold(std::nan("")), 0u);
+    EXPECT_EQ(Random::chanceThreshold(1.0), std::uint64_t(1) << 53);
+    EXPECT_EQ(Random::chanceThreshold(1.5), std::uint64_t(1) << 53);
+    EXPECT_EQ(Random::chanceThreshold(1e-300), 1u);
 }

@@ -371,3 +371,93 @@ TEST(SuperscalarCpu, SquashDropsConsumersOfSurvivingProducer)
     EXPECT_EQ(f.kernel.lastReplaySize, 4u);
     EXPECT_EQ(cycles, (std::vector<int>{75, 82, 85, 88, 88}));
 }
+
+TEST(SuperscalarCpu, SkippingQuietCyclesMatchesSteppingThem)
+{
+    // One machine steps every cycle; its twin charges quiet cycles in
+    // bulk, in uneven pieces. The stream misses the I-cache (fetch
+    // waits, often with the pipeline drained), misses the data caches
+    // and the TLB (dispatch holds, then traps) and mispredicts
+    // branches (fetch stalls). Over the same number of cycles both
+    // must commit the same instructions and leave identical counters,
+    // cycle attribution, mispredict stalls and cache state.
+    StreamSpec spec;
+    spec.codeFootprint = 256 * 1024;
+    spec.dataFootprint = 8 * 1024 * 1024;
+    spec.hotFootprint = 512 * 1024;
+    spec.coldAccessProb = 0.05;
+    spec.predictability = 0.5;
+    StreamGen stepped_gen(spec, 5), skipping_gen(spec, 5);
+    Fixture stepped, skipping;
+    stepped.kernel.fallback = &stepped_gen;
+    skipping.kernel.fallback = &skipping_gen;
+
+    const Cycles total = 60'000;
+    stepped.run(int(total));
+    Cycles skipped = 0;
+    while (skipping.cpu.cyclesRun() < total) {
+        Cycles quiet = skipping.cpu.quietCycles();
+        Cycles left = total - skipping.cpu.cyclesRun();
+        if (quiet == 0) {
+            skipping.cpu.cycle();
+            continue;
+        }
+        Cycles n = std::min({quiet, (quiet + 1) / 2, left});
+        skipping.cpu.skipQuietCycles(n);
+        skipped += n;
+    }
+    EXPECT_GT(skipped, total / 10);
+    EXPECT_GT(stepped.cpu.mispredictStallCycles(), 0u);
+    EXPECT_GT(stepped.kernel.tlbMisses, 0);
+
+    EXPECT_EQ(skipping.cpu.committedInsts(), stepped.cpu.committedInsts());
+    EXPECT_EQ(skipping.cpu.quietCycles(), stepped.cpu.quietCycles());
+    EXPECT_EQ(skipping.cpu.mispredictStallCycles(),
+              stepped.cpu.mispredictStallCycles());
+    EXPECT_EQ(skipping.kernel.committed, stepped.kernel.committed);
+    EXPECT_EQ(skipping.kernel.tlbMisses, stepped.kernel.tlbMisses);
+    ChunkWriter stepped_state, skipping_state;
+    stepped.sink.saveState(stepped_state);
+    skipping.sink.saveState(skipping_state);
+    stepped.hierarchy.saveState(stepped_state);
+    skipping.hierarchy.saveState(skipping_state);
+    EXPECT_EQ(skipping_state.bytes(), stepped_state.bytes());
+}
+
+TEST(SuperscalarCpu, QuietCyclesEndWhereFetchResumes)
+{
+    // A cold I-cache miss: the fetched op runs and retires while
+    // fetch waits for the walk. Once the drained pipeline has told
+    // the kernel, the rest of the walk is quiet, up to the cycle in
+    // which fetch goes again.
+    Fixture f;
+    EXPECT_EQ(f.cpu.quietCycles(), 0u);  // fetch would go
+    f.kernel.push(aluOp(0x100));
+    f.kernel.push(aluOp(0x104));
+    int steps = 0;
+    while (f.cpu.quietCycles() == 0 && steps < 20) {
+        f.cpu.cycle();
+        ++steps;
+    }
+    ASSERT_LT(steps, 20);
+    EXPECT_EQ(f.kernel.committed.size(), 1u);
+    EXPECT_TRUE(f.cpu.pipelineEmpty());
+    EXPECT_EQ(f.kernel.script.size(), 1u);
+    std::uint64_t hooks = f.kernel.pipelineEmptyCalls;
+    EXPECT_GT(hooks, 0u);
+
+    Cycles quiet = f.cpu.quietCycles();
+    f.cpu.skipQuietCycles(quiet);
+    EXPECT_EQ(f.cpu.quietCycles(), 0u);
+    EXPECT_EQ(f.cpu.cyclesRun(), std::uint64_t(steps) + quiet);
+    f.cpu.cycle();  // fetch resumes
+    EXPECT_TRUE(f.kernel.script.empty());
+
+    // A squash empties the pipeline behind the kernel's back: the
+    // next cycle must call the hook again, so it is not quiet.
+    f.cpu.squashAll();
+    f.kernel.push(aluOp(0x200));
+    f.cpu.cycle();  // a fresh I-cache miss: fetch waits again
+    f.cpu.squashAll();
+    EXPECT_EQ(f.cpu.quietCycles(), 0u);
+}
