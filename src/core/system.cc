@@ -132,7 +132,7 @@ SystemConfig::validate() const
                     << "); 0 lets in-flight runs finish on drain");
     }
     if (diskConfig.kind == DiskConfigKind::Spindown &&
-        diskConfig.spindownThresholdSeconds <= 0) {
+        !(diskConfig.spindownThresholdSeconds > 0)) {
         fatal(msg() << "config: disk.threshold_s must be > 0 for "
                     << "the spindown policy (got "
                     << diskConfig.spindownThresholdSeconds << ")");

@@ -23,7 +23,7 @@ void
 DiskFaultConfig::validate(const char *context) const
 {
     auto check_rate = [&](double rate, const char *name) {
-        if (rate < 0.0 || rate > 1.0) {
+        if (!(rate >= 0.0 && rate <= 1.0)) {
             fatal(msg() << context << ": " << name << " must be in "
                         << "[0, 1] (got " << rate
                         << "); it is a per-opportunity probability");

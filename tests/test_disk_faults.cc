@@ -524,4 +524,18 @@ TEST_F(ThrowingErrors, FromConfigRejectsOutOfRangeValues)
         args.parseAssignment("disk.threshold_s=-2");
         EXPECT_THROW(SystemConfig::fromConfig(args), SimError);
     }
+    // NaN fails every comparison, so each check must test for the
+    // valid range rather than for a bad value.
+    {
+        Config args;
+        args.parseAssignment("disk.fault.enabled=true");
+        args.parseAssignment("disk.fault.transient_rate=nan");
+        EXPECT_THROW(SystemConfig::fromConfig(args), SimError);
+    }
+    {
+        Config args;
+        args.parseAssignment("disk.config=spindown");
+        args.parseAssignment("disk.threshold_s=nan");
+        EXPECT_THROW(SystemConfig::fromConfig(args), SimError);
+    }
 }
