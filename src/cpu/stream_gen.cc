@@ -270,17 +270,20 @@ StreamGen::pickDst()
 std::uint8_t
 StreamGen::pickSrc()
 {
-    // The dependence draw picks the bound of the register draw: one
-    // of the last depWindow results, or one of the long-dead
-    // registers 48..62, which are almost certainly ready. Both
-    // outcomes are selected, not branched to.
+    // The dependence draw picks the bound of the register draw and
+    // what it names: one of the last depWindow results, or one of the
+    // long-dead registers 48..62, which are almost certainly ready.
+    // Masks select both, so the unpredictable draw steers no branch.
     bool dep = recentCount > 0 && rng.chanceBelow(depThreshold);
     int window = streamSpec.depWindow < recentCount
                      ? streamSpec.depWindow
                      : recentCount;
-    std::uint64_t pick = rng.below(dep ? std::uint64_t(window) : 15);
+    std::uint64_t take = -std::uint64_t(dep);  // all ones if dep
+    std::uint64_t bound = 15 ^ ((15 ^ std::uint64_t(window)) & take);
+    std::uint64_t pick = rng.below(bound);
     std::uint8_t recent = recentDst[(recentCount - 1 - int(pick)) & 7];
-    return dep ? recent : std::uint8_t(48 + pick);
+    std::uint8_t dead = std::uint8_t(48 + pick);
+    return std::uint8_t(dead ^ ((dead ^ recent) & take));
 }
 
 Addr
@@ -329,7 +332,10 @@ FetchOutcome
 StreamGen::next(MicroOp &op)
 {
     const StreamSpec &s = streamSpec;
-    op = MicroOp{};
+    // Copied from a constant: assigning MicroOp{} builds the blank op
+    // in a stack temporary whose wide reload stalls store forwarding.
+    static constexpr MicroOp blank{};
+    op = blank;
     op.pc = pc;
     op.mode = s.mode;
     op.kernelMapped = s.kernelMapped;
