@@ -76,8 +76,12 @@ main(int argc, char **argv)
         for (const ConfigRow &c : configs) {
             if (source(c) != c.variant)
                 continue;
+            // Only the policy: disk.fault.* and the other disk keys
+            // read into base apply to every column.
             SystemConfig config = base;
-            config.diskConfig = c.disk;
+            config.diskConfig.kind = c.disk.kind;
+            config.diskConfig.spindownThresholdSeconds =
+                c.disk.spindownThresholdSeconds;
             spec.add(b, config, run_scale, c.variant);
         }
     }

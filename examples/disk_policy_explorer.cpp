@@ -38,18 +38,25 @@ main(int argc, char **argv)
     Benchmark bench = benchmarkByName(bench_name);
     SystemConfig base_config = SystemConfig::fromConfig(args);
 
+    // Each run sets only the disk policy, so disk.fault.* keys apply
+    // to every run.
+    auto with_policy = [&](const DiskConfig &policy) {
+        SystemConfig config = base_config;
+        config.diskConfig.kind = policy.kind;
+        config.diskConfig.spindownThresholdSeconds =
+            policy.spindownThresholdSeconds;
+        config.validate();
+        return config;
+    };
+
     std::vector<std::string> labels;
     {
-        SystemConfig config = base_config;
-        config.diskConfig = DiskConfig::idleOnly();
-        config.validate();
+        SystemConfig config = with_policy(DiskConfig::idleOnly());
         labels.push_back("idle-only (no spindown)");
         spec.add(bench, config, scale, "idle-only");
     }
     for (double threshold : thresholds) {
-        SystemConfig config = base_config;
-        config.diskConfig = DiskConfig::spindown(threshold);
-        config.validate();
+        SystemConfig config = with_policy(DiskConfig::spindown(threshold));
         std::ostringstream variant;
         variant << "spindown@" << threshold;
         std::ostringstream label;

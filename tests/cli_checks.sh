@@ -167,6 +167,24 @@ check_crashsim() {
 # exit 0, no abort.
 check_fault_sweep() { "$fault_sweep" scale=0.03 rates=0,0.2,1.0; }
 
+# Fig. 9 and disk_policy_explorer set only each run's disk policy, so
+# disk.fault.* keys reach their runs and change what they print.
+check_fig9_faults() {
+    local faults=(disk.fault.enabled=1 disk.fault.transient_rate=0.2)
+    "$build/bench/bench_fig9" scale=0.1 > plain.txt
+    "$build/bench/bench_fig9" scale=0.1 "${faults[@]}" > faults.txt
+    if cmp -s plain.txt faults.txt; then
+        fail "bench_fig9 ignored ${faults[*]}"
+    fi
+    local explorer=$build/examples/disk_policy_explorer
+    "$explorer" bench=jess scale=0.05 thresholds=1 > plain.txt
+    "$explorer" bench=jess scale=0.05 thresholds=1 "${faults[@]}" \
+        > faults.txt
+    if cmp -s plain.txt faults.txt; then
+        fail "disk_policy_explorer ignored ${faults[*]}"
+    fi
+}
+
 # The token and whole-program source rules over the three trees.
 check_analyze() {
     "$analyze" --suppressions "$src/tools/lint/suppressions.txt" \
