@@ -24,6 +24,12 @@ one slow pair (a noisy neighbour) never fails the gate, and neither
 does a consistent slowdown smaller than the base's own spread. The
 script prints every pair and exits 1 if any workload fails; a run
 whose output has no `host wall_s per pass` line stops it at once.
+
+Before the verdict line it prints where each tree's perfbench binary
+placed the reference kernel (`referenceWork` and its clones, read with
+nm), and a warning when the two trees differ: perfbench's reference
+seconds, and so its wall_s, setup_s, mips and sim_mhz, then come from
+two different yardsticks. The verdict reads host seconds either way.
 """
 
 import collections
@@ -40,6 +46,8 @@ SLOWER_PAIRS = 9
 # of three passes whatever the host's speed.
 RUN_SECONDS = "0.01"
 HOST_LINE = "host wall_s per pass:"
+YARDSTICK = "referenceWork"
+BINARY = os.path.join(".bench_build", "perfbench", "perfbench")
 
 Run = collections.namedtuple("Run", "seconds correct")
 # reasons lists why the workload fails; it is empty when it passes.
@@ -68,6 +76,44 @@ def parse(stdout):
         result = None
     correct = isinstance(result, dict) and result.get("correct") is True
     return Run(seconds, correct)
+
+
+def yardstick(nm_output):
+    """{symbol: address} of the reference kernel in `nm -C` output."""
+    found = {}
+    for line in nm_output.splitlines():
+        fields = line.split(None, 2)
+        if len(fields) == 3 and YARDSTICK in fields[2]:
+            found[fields[2]] = int(fields[0], 16)
+    return found
+
+
+def yardstick_lines(placements):
+    """Report lines for {tree label: yardstick()} of each tree."""
+    lines = []
+    for label, symbols in placements.items():
+        where = ", ".join("%#x %s" % (addr, name)
+                          for name, addr in sorted(symbols.items()))
+        lines.append("perf_ab: %s yardstick: %s" % (
+            label, where or "not found"))
+    if len({tuple(sorted(p.items())) for p in placements.values()}) > 1:
+        lines.append(
+            "perf_ab: WARNING: %s sits at different addresses in the "
+            "two trees, so their reference-scaled metrics come from two "
+            "different yardsticks; the verdict reads host seconds"
+            % YARDSTICK)
+    return lines
+
+
+def placement(tree):
+    """yardstick() of a tree's built perfbench binary ({} if none)."""
+    try:
+        proc = subprocess.run(["nm", "-C", os.path.join(tree, BINARY)],
+                              stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+    except OSError:
+        return {}
+    return yardstick(proc.stdout)
 
 
 def quartiles(values):
@@ -160,6 +206,9 @@ def main(argv):
             print("  FAIL: " + reason)
         if v.reasons:
             failed.append(workload)
+    for line in yardstick_lines({"base": placement(base_tree),
+                                 "change": placement(change_tree)}):
+        print(line)
     print("perf_ab: %s in %.0f s" % (
         "FAIL on " + ", ".join(failed) if failed else "pass",
         time.monotonic() - start))

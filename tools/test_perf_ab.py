@@ -87,5 +87,38 @@ class Parse(unittest.TestCase):
         self.assertIn("no 'host wall_s per pass:' line", out.getvalue())
 
 
+NM = """\
+000000000003df60 T perfbench::referenceWork(unsigned long)
+000000000003db90 t perfbench::referenceWork(unsigned long) [clone .constprop.0]
+0000000000017ba0 T main
+                 U memcpy@GLIBC_2.14
+"""
+
+
+class Yardstick(unittest.TestCase):
+    def test_reads_the_kernel_and_its_clone_from_nm(self):
+        self.assertEqual(perf_ab.yardstick(NM), {
+            "perfbench::referenceWork(unsigned long)": 0x3df60,
+            "perfbench::referenceWork(unsigned long) [clone .constprop.0]":
+                0x3db90})
+        self.assertEqual(perf_ab.yardstick("0000000000017ba0 T main\n"),
+                         {})
+
+    def test_warns_only_when_the_trees_differ(self):
+        same = perf_ab.yardstick(NM)
+        lines = perf_ab.yardstick_lines({"base": same, "change": same})
+        self.assertEqual(len(lines), 2)
+        self.assertEqual(
+            lines[0], "perf_ab: base yardstick: 0x3df60 "
+            "perfbench::referenceWork(unsigned long), 0x3db90 "
+            "perfbench::referenceWork(unsigned long) [clone .constprop.0]")
+        moved = perf_ab.yardstick(NM.replace("3df60", "3df50"))
+        lines = perf_ab.yardstick_lines({"base": same, "change": moved})
+        self.assertEqual(len(lines), 3)
+        self.assertIn("change yardstick: 0x3df50 perfbench::", lines[1])
+        self.assertIn("WARNING", lines[2])
+        self.assertIn("different addresses", lines[2])
+
+
 if __name__ == "__main__":
     unittest.main()
