@@ -18,6 +18,13 @@ setBit(std::uint64_t *words, std::size_t bit)
     words[bit / 64] |= std::uint64_t(1) << (bit % 64);
 }
 
+/** Set @p bit to 1 if @p on, else leave it, without a branch. */
+void
+setBitIf(std::uint64_t *words, std::size_t bit, bool on)
+{
+    words[bit / 64] |= std::uint64_t(on) << (bit % 64);
+}
+
 void
 clearBit(std::uint64_t *words, std::size_t bit)
 {
@@ -103,9 +110,10 @@ SuperscalarCpu::pipelineEmpty() const
 bool
 SuperscalarCpu::depSatisfied(std::uint64_t dep)
 {
-    if (dep < headSeq || dep >= nextSeq)
-        return true;  // none (0) or retired
-    return entryAt(dep).state == EntryState::Completed;
+    // None (0) and retired producers lie outside [headSeq, nextSeq);
+    // the entry is read either way, since every slot is valid memory.
+    bool in_flight = dep - headSeq < robSize();
+    return !in_flight | (entryAt(dep).state == EntryState::Completed);
 }
 
 std::uint64_t
@@ -239,8 +247,8 @@ SuperscalarCpu::doCommit()
         ++totalCommitted;
         sink.add(entry.op.mode, CounterId::CommittedInsts, 1,
                  entry.op.frameTag);
-        if (regProducer[entry.op.dst] == entry.seq)
-            regProducer[entry.op.dst] = 0;
+        std::uint64_t &producer = regProducer[entry.op.dst];
+        producer = producer == entry.seq ? 0 : producer;
         if (entry.op.cls == InstClass::Syscall) {
             if (blockedSyscallSeq == entry.seq)
                 blockedSyscallSeq = 0;
@@ -274,8 +282,7 @@ SuperscalarCpu::complete(std::uint32_t slot)
         while (bits != 0) {
             std::size_t c = w * 64 + std::size_t(std::countr_zero(bits));
             bits &= bits - 1;
-            if (--rob[c].pending == 0)
-                setBit(readyBits.data(), c);
+            setBitIf(readyBits.data(), c, --rob[c].pending == 0);
         }
     }
 }
@@ -391,7 +398,6 @@ SuperscalarCpu::doDispatch()
         entry.completeAt = 0;
         entry.state = EntryState::Waiting;
         entry.mispredicted = fetched.mispredicted;
-        entry.pending = 0;
         if (fetched.mispredicted && fetchBlockedOnBranch == 0)
             fetchBlockedOnBranch = seq;
         if (entry.op.cls == InstClass::Syscall) {
@@ -402,17 +408,18 @@ SuperscalarCpu::doDispatch()
             blockedSyscallSeq = seq;
         }
 
-        // Wait on each distinct producer that has not completed.
-        auto wait_on = [&](std::uint64_t producer) {
-            setBit(&consumerBits[(producer & robMask) * slotWords], slot);
-            ++entry.pending;
-        };
-        if (!depSatisfied(entry.depA))
-            wait_on(entry.depA);
-        if (entry.depB != entry.depA && !depSatisfied(entry.depB))
-            wait_on(entry.depB);
-        if (entry.pending == 0)
-            setBit(readyBits.data(), slot);
+        // Wait on each distinct producer that has not completed. The
+        // outcomes are data, not branches: a producer that needs no
+        // wait gets a 0 OR-ed into its consumer mask.
+        bool wait_a = !depSatisfied(entry.depA);
+        bool wait_b =
+            (entry.depB != entry.depA) & !depSatisfied(entry.depB);
+        setBitIf(&consumerBits[(entry.depA & robMask) * slotWords], slot,
+                 wait_a);
+        setBitIf(&consumerBits[(entry.depB & robMask) * slotWords], slot,
+                 wait_b);
+        entry.pending = std::uint8_t(wait_a + wait_b);
+        setBitIf(readyBits.data(), slot, entry.pending == 0);
         regProducer[entry.op.dst] = seq;
         regProducer[noReg] = 0;
 
