@@ -63,7 +63,9 @@ class KernelIface
     /**
      * Called by the CPU whenever its pipeline is completely empty;
      * the kernel uses it to finalize service-invocation accounting
-     * before switching streams.
+     * before switching streams. A second call with nothing fetched or
+     * squashed in between must change nothing, so a CPU may skip it
+     * across quiet cycles (SuperscalarCpu::quietCycles).
      */
     virtual void onPipelineEmpty() = 0;
 

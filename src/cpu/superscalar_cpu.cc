@@ -12,12 +12,6 @@ namespace softwatt
 namespace
 {
 
-void
-setBit(std::uint64_t *words, std::size_t bit)
-{
-    words[bit / 64] |= std::uint64_t(1) << (bit % 64);
-}
-
 /** Set @p bit to 1 if @p on, else leave it, without a branch. */
 void
 setBitIf(std::uint64_t *words, std::size_t bit, bool on)

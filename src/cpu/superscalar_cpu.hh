@@ -45,10 +45,19 @@ namespace softwatt
  *   a producer's writeback decrements its consumers' counts and sets
  *   the ready bit of each that reaches zero.
  * - Select: candidates are the ready bits of the oldest
- *   issueScanLimit ROB positions, taken oldest-first. A candidate
- *   whose class has no free unit is skipped; selection stops at
- *   issueWidth. Writeback runs before issue, so a producer written
- *   back this cycle lets its consumers issue this cycle.
+ *   issueScanLimit ROB positions, taken oldest-first (one rotated
+ *   word when the ring has at most 64 slots). A candidate whose class
+ *   has no free unit is skipped; selection stops at issueWidth.
+ *   Writeback runs before issue, so a producer written back this
+ *   cycle lets its consumers issue this cycle.
+ *
+ * The stages branch little on the op: issue reads its class's unit
+ * pool, execution counter and latency from a table, counters that an
+ * op may or may not bump are added as 0 or 1, and regProducer has a
+ * slot for every register id. Fetch builds each op in its queue slot.
+ *
+ * quietCycles() reports the cycles in which no stage can act, so the
+ * system loop can charge them in one step (see DESIGN.md §5b item 8).
  *
  * Checks builds assert every cycle that the ready-bit candidates
  * equal the plain rule: each Waiting entry among those positions
