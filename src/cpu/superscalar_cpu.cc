@@ -69,12 +69,6 @@ constexpr IssueClass issueClasses[8] = {
     {NoPool, CounterId::IntAluOp, 0, 1},
 };
 
-const IssueClass &
-issueClassOf(InstClass cls)
-{
-    return issueClasses[std::uint8_t(cls) & 7];
-}
-
 } // namespace
 
 SuperscalarCpu::SuperscalarCpu(const MachineParams &params,
@@ -320,7 +314,7 @@ SuperscalarCpu::doIssue()
         Entry &entry = rob[slot];
 
         const MicroOp &op = entry.op;
-        const IssueClass &unit = issueClassOf(op.cls);
+        const IssueClass &unit = issueClasses[std::uint8_t(op.cls) & 7];
         if (units[unit.pool] == 0)
             continue;
         --units[unit.pool];
