@@ -14,6 +14,9 @@ namespace
 
 constexpr char checkpointMagic[6] = {'S', 'W', 'C', 'K', 'P', 'T'};
 
+constexpr std::uint64_t fnvOffsetBasis = 0xcbf29ce484222325ull;
+constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
+
 /** Magic, version, fingerprint, CPU model and chunk count. */
 constexpr std::size_t headerBytes = sizeof(checkpointMagic) + 2 + 8 + 1 + 4;
 
@@ -106,11 +109,27 @@ readFileBytes(const std::string &path)
 std::uint64_t
 fnv1a64(const std::uint8_t *data, std::size_t size)
 {
-    std::uint64_t state = 0xcbf29ce484222325ull;
+    std::uint64_t state = fnvOffsetBasis;
     for (std::size_t i = 0; i < size; ++i) {
         state ^= data[i];
-        state *= 0x100000001b3ull;
+        state *= fnvPrime;
     }
+    return state;
+}
+
+std::uint64_t
+checksum64(const std::uint8_t *data, std::size_t size)
+{
+    std::uint64_t state = fnvOffsetBasis;
+    std::size_t words = size / 8;
+    for (std::size_t i = 0; i < words; ++i) {
+        std::uint64_t word = 0;
+        for (int b = 0; b < 8; ++b)
+            word |= std::uint64_t(data[8 * i + b]) << (8 * b);
+        state = (state ^ word) * fnvPrime;
+    }
+    for (std::size_t i = 8 * words; i < size; ++i)
+        state = (state ^ data[i]) * fnvPrime;
     return state;
 }
 
@@ -238,8 +257,8 @@ writeCheckpoint(const std::string &path,
         bytes.append(chunk.name);
         putLeFile(bytes, std::uint64_t(chunk.payload.size()), 8);
         putLeFile(bytes,
-                  fnv1a64(chunk.payload.data(),
-                          chunk.payload.size()),
+                  checksum64(chunk.payload.data(),
+                             chunk.payload.size()),
                   8);
         bytes.append(
             reinterpret_cast<const char *>(chunk.payload.data()),
@@ -338,7 +357,7 @@ readCheckpoint(const std::string &path)
         }
         std::uint64_t checksum = cursor.le(8);
         const std::uint8_t *payload = cursor.raw(payload_len);
-        if (fnv1a64(payload, payload_len) != checksum) {
+        if (checksum64(payload, payload_len) != checksum) {
             throw CheckpointError(
                 msg() << "checkpoint '" << path << "': checksum "
                       << "mismatch in chunk '" << chunk.name << "'");

@@ -139,6 +139,37 @@ TEST(CheckpointFormat, Fnv1a64KnownVectors)
     EXPECT_EQ(fnv1a64(foobar, 6), 0x85944171f73967e8ull);
 }
 
+TEST(CheckpointFormat, Checksum64HashesWordsThenTheTail)
+{
+    // Shorter than a word, the tail is all there is.
+    const std::uint8_t foobar[] = {'f', 'o', 'o', 'b', 'a', 'r'};
+    EXPECT_EQ(checksum64(foobar, 6), fnv1a64(foobar, 6));
+    EXPECT_EQ(checksum64(nullptr, 0), fnv1a64(nullptr, 0));
+
+    // One FNV-1a step per little-endian word, then one per tail byte.
+    std::vector<std::uint8_t> bytes(21);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = std::uint8_t(i * 37 + 1);
+    std::uint64_t state = 0xcbf29ce484222325ull;
+    for (std::size_t w = 0; w < 2; ++w) {
+        std::uint64_t word = 0;
+        for (int b = 7; b >= 0; --b)
+            word = (word << 8) | bytes[8 * w + std::size_t(b)];
+        state = (state ^ word) * 0x100000001b3ull;
+    }
+    for (std::size_t i = 16; i < bytes.size(); ++i)
+        state = (state ^ bytes[i]) * 0x100000001b3ull;
+    EXPECT_EQ(checksum64(bytes.data(), bytes.size()), state);
+
+    // Any single changed word, or tail byte, changes the checksum.
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        std::vector<std::uint8_t> flipped = bytes;
+        flipped[i] ^= 0x40;
+        EXPECT_NE(checksum64(flipped.data(), flipped.size()), state)
+            << "byte " << i;
+    }
+}
+
 TEST(CheckpointFormat, ChunkRoundTripsPrimitives)
 {
     ChunkWriter w;

@@ -9,8 +9,8 @@
  * so CI and shell scripts can gate on checkpoint integrity:
  *
  *   $ softwatt-ckpt run.json.jess.ckpt
- *   run.json.jess.ckpt: format v1, fingerprint 0x4f1d..., cpu in-order
- *     chunk        bytes  fnv1a64
+ *   run.json.jess.ckpt: format v3, fingerprint 0x4f1d..., cpu in-order
+ *     chunk        bytes  checksum64
  *     event-queue     24  0x8c7f3a2b9e4d1c05
  *     ...
  *   run.json.jess.ckpt: OK (10 chunks, 18342 bytes of payload)
@@ -170,13 +170,13 @@ inspect(const char *path)
         widest = std::max(widest, chunk.name.size());
 
     std::printf("  %-*s  %10s  %-18s\n", int(widest), "chunk",
-                "bytes", "fnv1a64");
+                "bytes", "checksum64");
     std::uint64_t payload_bytes = 0;
     for (const softwatt::CheckpointChunk &chunk : image.chunks) {
         // readCheckpoint already proved the stored checksum matches
         // the payload, so recomputing it here prints the same value
         // the file carries.
-        std::uint64_t checksum = softwatt::fnv1a64(
+        std::uint64_t checksum = softwatt::checksum64(
             chunk.payload.data(), chunk.payload.size());
         std::printf("  %-*s  %10zu  0x%016" PRIx64 "\n", int(widest),
                     chunk.name.c_str(), chunk.payload.size(),
@@ -204,7 +204,7 @@ main(int argc, char **argv)
         std::printf(
             "usage: %s <checkpoint.ckpt> [more.ckpt ...]\n"
             "  Verify and dump SoftWatt machine checkpoints: header,\n"
-            "  chunk table with sizes and FNV-1a-64 checksums.\n"
+            "  chunk table with sizes and checksum64 checksums.\n"
             "  Exits 1 if any file is corrupt or incompatible, 2 if\n"
             "  any is missing, unreadable, or a zero-length stub\n"
             "  (worst verdict across all files wins).\n",
