@@ -567,7 +567,7 @@ System::run()
         // Checkpoint poll, last in the iteration: a restored run
         // resumes at the top of the loop, which is exactly where the
         // uninterrupted run continues after the autosave. The squash
-        // inside buildCheckpointImage() happens at the same tick in
+        // inside serializeCheckpoint() happens at the same tick in
         // every run with the same cadence, so trajectories match.
         if (ckpt_interval && !ckptDegraded &&
             queue.now() >= next_ckpt && checkpointSafeNow()) {
@@ -724,8 +724,8 @@ System::checkpointFingerprint() const
     return configFingerprint(cfg, workload->spec());
 }
 
-CheckpointImage
-System::buildCheckpointImage()
+void
+System::serializeCheckpoint()
 {
     SW_CHECK(checkpointSafeNow(),
              "checkpoint requested outside a safe point");
@@ -734,14 +734,9 @@ System::buildCheckpointImage()
     // happens at this tick in every run with the same cadence.
     machineKernel->requeue(machineCpu->squashAllCollect());
 
-    CheckpointImage image;
-    image.configFingerprint = checkpointFingerprint();
-    image.cpuModel = std::uint8_t(cfg.cpuModel);
-
-    auto chunk = [&image](const char *name, auto &&fill) {
-        ChunkWriter w;
-        fill(w);
-        image.add(name, std::move(w));
+    ckptFile.begin(checkpointFingerprint(), std::uint8_t(cfg.cpuModel));
+    auto chunk = [this](const char *name, auto &&fill) {
+        ckptFile.chunk(name, fill);
     };
     chunk("event-queue",
           [&](ChunkWriter &w) { queue.saveState(w); });
@@ -782,7 +777,6 @@ System::buildCheckpointImage()
         if (spindown)
             spindown->saveState(w);
     });
-    return image;
 }
 
 void
@@ -962,7 +956,8 @@ System::restoreCheckpoint(const std::string &path)
 void
 System::writeCheckpointNow(const std::string &path)
 {
-    writeCheckpoint(path, buildCheckpointImage());
+    serializeCheckpoint();
+    ckptFile.write(path, Durability::Buffered);
 }
 
 void
@@ -976,8 +971,8 @@ System::takeCheckpoint()
     // same cadence; further autosaves are disarmed because their
     // squashes could no longer be paired with saved images.
     try {
-        autosaveCheckpoint(autosavePath, buildCheckpointImage(),
-                           ckptDurability);
+        serializeCheckpoint();
+        ckptFile.autosave(autosavePath, ckptDurability);
         ++numCheckpoints;
     } catch (const CheckpointError &err) {
         ckptDegraded = true;

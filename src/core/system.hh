@@ -454,6 +454,9 @@ class System : public PowerMeter
     bool restoredState = false;
     std::uint64_t numCheckpoints = 0;
 
+    /** The image buffer every checkpoint of this machine reuses. */
+    CheckpointWriter ckptFile;
+
     const CancelToken *cancel = nullptr;
 
     /** Tick at which the Drain grace budget expires; 0 = unarmed. */
@@ -487,8 +490,9 @@ class System : public PowerMeter
     /** Skip ahead to the next event, charging bulk idle activity. */
     void fastForwardToNextEvent();
 
-    /** Squash in-flight work and serialize every component. */
-    CheckpointImage buildCheckpointImage();
+    /** Squash in-flight work and serialize every component into
+     *  ckptFile. */
+    void serializeCheckpoint();
 
     /** Load every chunk of a verified image into the components. */
     void applyCheckpointImage(const CheckpointImage &image);

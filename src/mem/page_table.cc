@@ -1,8 +1,5 @@
 #include "page_table.hh"
 
-#include <algorithm>
-#include <vector>
-
 #include "sim/logging.hh"
 
 namespace softwatt
@@ -26,26 +23,31 @@ PageTable::isMapped(Addr vaddr) const
 bool
 PageTable::map(Addr vaddr)
 {
-    return pages.insert(vpn(vaddr)).second;
+    Addr page = vpn(vaddr);
+    bool fresh = pages.insert(page).second;
+    if (fresh)
+        touchOrder.push_back(page);
+    return fresh;
 }
 
 void
 PageTable::saveState(ChunkWriter &out) const
 {
-    std::vector<Addr> sorted(pages.begin(), pages.end());
-    std::sort(sorted.begin(), sorted.end());
-    out.u64(std::uint64_t(sorted.size()));
-    for (Addr page : sorted)
+    out.u64(std::uint64_t(touchOrder.size()));
+    for (Addr page : touchOrder)
         out.u64(page);
 }
 
 void
 PageTable::loadState(ChunkReader &in)
 {
-    pages.clear();
+    clear();
     std::uint64_t count = in.u64();
-    for (std::uint64_t i = 0; i < count; ++i)
-        pages.insert(in.u64());
+    for (std::uint64_t i = 0; i < count; ++i) {
+        Addr page = in.u64();
+        if (pages.insert(page).second)
+            touchOrder.push_back(page);
+    }
 }
 
 } // namespace softwatt

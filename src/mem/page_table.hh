@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <vector>
 
 #include "sim/checkpoint.hh"
 #include "sim/types.hh"
@@ -39,10 +40,15 @@ class PageTable : public Checkpointable
     int pageBytes() const { return pageSize; }
 
     /** Drop all mappings (process teardown). */
-    void clear() { pages.clear(); }
+    void
+    clear()
+    {
+        pages.clear();
+        touchOrder.clear();
+    }
 
-    // Checkpointable: mapped VPNs, written in sorted order so the
-    // byte stream is independent of unordered_set iteration order.
+    // Checkpointable: mapped VPNs in first-touch order, which a run
+    // and its restored twin share, so the bytes need no sort.
     void saveState(ChunkWriter &out) const override;
     void loadState(ChunkReader &in) override;
 
@@ -50,6 +56,8 @@ class PageTable : public Checkpointable
     int pageSize;   // ckpt:derived: fixed at construction
     int pageShift;  // ckpt:derived: computed from pageSize
     std::unordered_set<Addr> pages;
+    /** The VPNs in pages, in the order they were first mapped. */
+    std::vector<Addr> touchOrder;
 
     Addr vpn(Addr vaddr) const { return vaddr >> pageShift; }
 };

@@ -17,25 +17,15 @@ constexpr char checkpointMagic[6] = {'S', 'W', 'C', 'K', 'P', 'T'};
 constexpr std::uint64_t fnvOffsetBasis = 0xcbf29ce484222325ull;
 constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
 
-/** Magic, version, fingerprint, CPU model and chunk count. */
-constexpr std::size_t headerBytes = sizeof(checkpointMagic) + 2 + 8 + 1 + 4;
-
-/** Per-chunk framing besides the name: name length, payload length
- *  and checksum. */
-constexpr std::size_t chunkFramingBytes = 4 + 8 + 8;
+/** Where the header keeps the chunk count: after the magic, the
+ *  version, the fingerprint and the CPU model. */
+constexpr std::size_t chunkCountAt = sizeof(checkpointMagic) + 2 + 8 + 1;
 
 /** Practical ceilings that keep a damaged length field from driving
  *  a multi-gigabyte allocation before the checksum catches it. */
 constexpr std::uint64_t maxChunkBytes = 1ull << 32;
 constexpr std::uint32_t maxChunks = 1u << 16;
 constexpr std::uint32_t maxNameBytes = 1u << 12;
-
-void
-putLeFile(std::string &out, std::uint64_t value, int n)
-{
-    for (int i = 0; i < n; ++i)
-        out.push_back(char(std::uint8_t(value >> (8 * i))));
-}
 
 class FileCursor
 {
@@ -236,40 +226,67 @@ CheckpointImage::find(const std::string &name) const
 }
 
 void
-writeCheckpoint(const std::string &path,
-                const CheckpointImage &image, Durability durability)
+ChunkWriter::overwriteLe(std::size_t at, std::uint64_t value, int n)
 {
-    // Sized up front, so each payload is copied once: into the file
-    // image, which the host-I/O seam hands to write(2) as it is.
-    std::size_t size = headerBytes;
-    for (const CheckpointChunk &chunk : image.chunks)
-        size += chunkFramingBytes + chunk.name.size() +
-                chunk.payload.size();
-    std::string bytes;
-    bytes.reserve(size);
-    bytes.append(checkpointMagic, sizeof(checkpointMagic));
-    putLeFile(bytes, image.version, 2);
-    putLeFile(bytes, image.configFingerprint, 8);
-    putLeFile(bytes, image.cpuModel, 1);
-    putLeFile(bytes, std::uint32_t(image.chunks.size()), 4);
-    for (const CheckpointChunk &chunk : image.chunks) {
-        putLeFile(bytes, std::uint32_t(chunk.name.size()), 4);
-        bytes.append(chunk.name);
-        putLeFile(bytes, std::uint64_t(chunk.payload.size()), 8);
-        putLeFile(bytes,
-                  checksum64(chunk.payload.data(),
-                             chunk.payload.size()),
-                  8);
-        bytes.append(
-            reinterpret_cast<const char *>(chunk.payload.data()),
-            chunk.payload.size());
-    }
+    for (int i = 0; i < n; ++i)
+        buffer[at + std::size_t(i)] = std::uint8_t(value >> (8 * i));
+}
 
+void
+CheckpointWriter::begin(std::uint64_t fingerprint,
+                        std::uint8_t cpu_model, std::uint16_t version)
+{
+    // The header in one insert: magic, version, fingerprint, CPU
+    // model and a chunk count that each chunk bumps.
+    std::uint8_t header[chunkCountAt + 4] = {};
+    std::memcpy(header, checkpointMagic, sizeof(checkpointMagic));
+    for (int i = 0; i < 2; ++i)
+        header[6 + i] = std::uint8_t(version >> (8 * i));
+    for (int i = 0; i < 8; ++i)
+        header[8 + i] = std::uint8_t(fingerprint >> (8 * i));
+    header[16] = cpu_model;
+    file.clear();
+    file.raw(header, sizeof(header));
+    chunks = 0;
+}
+
+std::size_t
+CheckpointWriter::openChunk(std::string_view name)
+{
+    file.overwriteLe(chunkCountAt, ++chunks, 4);
+    file.u32(std::uint32_t(name.size()));
+    file.raw(reinterpret_cast<const std::uint8_t *>(name.data()),
+             name.size());
+    std::size_t framing = file.size();
+    file.u64(0);  // payload length
+    file.u64(0);  // checksum
+    return framing;
+}
+
+void
+CheckpointWriter::closeChunk(std::size_t framing)
+{
+    std::size_t payload = framing + 16;
+    std::size_t length = file.size() - payload;
+    file.overwriteLe(framing, length, 8);
+    file.overwriteLe(framing + 8,
+                     checksum64(file.bytes().data() + payload, length),
+                     8);
+}
+
+void
+CheckpointWriter::write(const std::string &path, Durability durability)
+{
     // Temp-then-rename through the host-I/O seam: under
     // Durability::Full the temp file is fsynced before the rename
     // and the parent directory afterwards, so a power cut can never
     // leave a zero-length or torn file under the final name.
-    IoStatus status = hostWriteFileAtomic(path, bytes, durability);
+    const std::vector<std::uint8_t> &bytes = file.bytes();
+    IoStatus status = hostWriteFileAtomic(
+        path,
+        std::string_view(reinterpret_cast<const char *>(bytes.data()),
+                         bytes.size()),
+        durability);
     if (!status) {
         throw CheckpointError(msg() << "checkpoint: cannot write '"
                                     << path
@@ -284,9 +301,8 @@ checkpointPreviousGeneration(const std::string &path)
 }
 
 void
-autosaveCheckpoint(const std::string &path,
-                   const CheckpointImage &image,
-                   Durability durability)
+CheckpointWriter::autosave(const std::string &path,
+                           Durability durability)
 {
     // Rotate the current file to the previous generation first; the
     // write itself goes through tmp+rename, so at every instant at
@@ -305,7 +321,42 @@ autosaveCheckpoint(const std::string &path,
                        << rotated.message);
         }
     }
-    writeCheckpoint(path, image, durability);
+    write(path, durability);
+}
+
+namespace
+{
+
+/** A writer holding @p image, serialized. */
+CheckpointWriter
+serialized(const CheckpointImage &image)
+{
+    CheckpointWriter writer;
+    writer.begin(image.configFingerprint, image.cpuModel,
+                 image.version);
+    for (const CheckpointChunk &chunk : image.chunks) {
+        writer.chunk(chunk.name, [&chunk](ChunkWriter &w) {
+            w.raw(chunk.payload.data(), chunk.payload.size());
+        });
+    }
+    return writer;
+}
+
+} // namespace
+
+void
+writeCheckpoint(const std::string &path,
+                const CheckpointImage &image, Durability durability)
+{
+    serialized(image).write(path, durability);
+}
+
+void
+autosaveCheckpoint(const std::string &path,
+                   const CheckpointImage &image,
+                   Durability durability)
+{
+    serialized(image).autosave(path, durability);
 }
 
 CheckpointImage

@@ -34,8 +34,10 @@
 #define SOFTWATT_SIM_CHECKPOINT_HH
 
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -137,20 +139,36 @@ class ChunkWriter
     void
     raw(const std::uint8_t *data, std::size_t n)
     {
-        buffer.insert(buffer.end(), data, data + n);
+        std::size_t at = buffer.size();
+        buffer.resize(at + n);
+        if (n > 0)
+            std::memcpy(buffer.data() + at, data, n);
     }
 
     const std::vector<std::uint8_t> &bytes() const { return buffer; }
+
+    /** Bytes written so far. */
+    std::size_t size() const { return buffer.size(); }
+
+    /** Drop the bytes but keep their storage for the next use. */
+    void clear() { buffer.clear(); }
+
+    /** Overwrite the @p n bytes at @p at with @p value, little-endian:
+     *  a length or checksum known only after what it frames. */
+    void overwriteLe(std::size_t at, std::uint64_t value, int n);
 
     /** Hand the accumulated bytes over, leaving the writer empty. */
     std::vector<std::uint8_t> release() { return std::move(buffer); }
 
   private:
+    /** One append per value, not one per byte. */
     void
     putLe(std::uint64_t value, int n)
     {
+        std::uint8_t le[8];
         for (int i = 0; i < n; ++i)
-            buffer.push_back(std::uint8_t(value >> (8 * i)));
+            le[i] = std::uint8_t(value >> (8 * i));
+        raw(le, std::size_t(n));
     }
 
     std::vector<std::uint8_t> buffer;
@@ -279,27 +297,68 @@ struct CheckpointImage
 };
 
 /**
- * Serialize @p image to @p path atomically: the bytes are written to
- * "<path>.tmp" and renamed over @p path, so a crash mid-write never
- * leaves a half-written file under the final name. Under
- * Durability::Full the temp file is fsynced before the rename and
- * the parent directory after it, so the image also survives a power
- * cut. Throws CheckpointError on I/O failure (the temp file is
- * cleaned up and @p path keeps its previous complete contents).
+ * Serializes checkpoint images straight into one file buffer, which
+ * every image written through the same writer reuses: each chunk's
+ * payload is written once, in place, and its length and checksum are
+ * filled in after it.
  */
+class CheckpointWriter
+{
+  public:
+    /** Start a new image in the buffer: its header. */
+    void begin(std::uint64_t fingerprint, std::uint8_t cpu_model,
+               std::uint16_t version = checkpointFormatVersion);
+
+    /** Append the chunk @p name; @p fill writes its payload. */
+    template <typename Fill>
+    void
+    chunk(std::string_view name, Fill &&fill)
+    {
+        std::size_t framing = openChunk(name);
+        fill(file);
+        closeChunk(framing);
+    }
+
+    /**
+     * Write the image begun last to @p path atomically: the bytes go
+     * to "<path>.tmp", which is renamed over @p path, so a crash
+     * mid-write never leaves a half-written file under the final
+     * name. Under Durability::Full the temp file is fsynced before
+     * the rename and the parent directory after it, so the image
+     * also survives a power cut. Throws CheckpointError on I/O
+     * failure (the temp file is cleaned up and @p path keeps its
+     * previous complete contents).
+     */
+    void write(const std::string &path, Durability durability);
+
+    /**
+     * Autosave the image begun last to @p path, keeping the last two
+     * generations: the previous @p path (if any) is rotated to
+     * "<path>.1" before the atomic write, so a crash — or corruption
+     * of the newest file — can always fall back one generation. A
+     * failed rotation is survivable (warn and overwrite in place,
+     * keeping a single generation); a failed write throws
+     * CheckpointError with the prior generation still intact on disk.
+     */
+    void autosave(const std::string &path, Durability durability);
+
+  private:
+    /** Write a chunk's framing and return where its lengths go. */
+    std::size_t openChunk(std::string_view name);
+
+    /** Fill in the framing at @p framing for the payload after it. */
+    void closeChunk(std::size_t framing);
+
+    ChunkWriter file;
+    std::uint32_t chunks = 0;
+};
+
+/** CheckpointWriter::write of @p image. */
 void writeCheckpoint(const std::string &path,
                      const CheckpointImage &image,
                      Durability durability = Durability::Buffered);
 
-/**
- * Autosave @p image to @p path keeping the last two generations:
- * the previous @p path (if any) is rotated to "<path>.1" before the
- * atomic write, so a crash — or corruption of the newest file — can
- * always fall back one generation. A failed rotation is survivable
- * (warn and overwrite in place, keeping a single generation); a
- * failed write throws CheckpointError with the prior generation
- * still intact on disk.
- */
+/** CheckpointWriter::autosave of @p image. */
 void autosaveCheckpoint(const std::string &path,
                         const CheckpointImage &image,
                         Durability durability = Durability::Buffered);

@@ -173,7 +173,7 @@ HostIo::recording() const
 
 IoStatus
 HostIo::gate(IoOpKind kind, const std::string &path,
-             const std::string &path2, const std::string *data,
+             const std::string &path2, const std::string_view *data,
              bool truncate, bool *torn, std::size_t *kept)
 {
     Impl &s = impl();
@@ -236,7 +236,7 @@ HostIo::gate(IoOpKind kind, const std::string &path,
         record.path = path;
         record.path2 = path2;
         if (data)
-            record.data.assign(*data, 0, keep);
+            record.data.assign(data->data(), keep);
         record.truncate = truncate;
         s.log.push_back(std::move(record));
     }
@@ -297,7 +297,7 @@ HostFile::open(const std::string &path, bool truncate,
 }
 
 IoStatus
-HostFile::write(const std::string &bytes)
+HostFile::write(std::string_view bytes)
 {
     SW_CHECK(fd >= 0, "HostFile::write on a closed file");
     std::size_t kept = bytes.size();
@@ -365,7 +365,7 @@ HostFile::close()
 }
 
 IoStatus
-hostWriteFileAtomic(const std::string &path, const std::string &bytes,
+hostWriteFileAtomic(const std::string &path, std::string_view bytes,
                     Durability durability)
 {
     std::string tmp = path + ".tmp";

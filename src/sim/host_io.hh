@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace softwatt
@@ -177,8 +178,7 @@ class HostIo
 
     friend class HostFile;
     friend IoStatus hostWriteFileAtomic(const std::string &,
-                                        const std::string &,
-                                        Durability);
+                                        std::string_view, Durability);
     friend IoStatus hostRename(const std::string &,
                                const std::string &, Durability);
     friend IoStatus hostRemove(const std::string &);
@@ -196,8 +196,9 @@ class HostIo
      * reports failure.
      */
     IoStatus gate(IoOpKind kind, const std::string &path,
-                  const std::string &path2, const std::string *data,
-                  bool truncate, bool *torn, std::size_t *kept);
+                  const std::string &path2,
+                  const std::string_view *data, bool truncate,
+                  bool *torn, std::size_t *kept);
 
     struct Impl;
     Impl &impl() const;
@@ -258,7 +259,7 @@ class HostFile
 
     /** Write all of @p bytes, straight from the caller's buffer (an
      *  injected short write keeps only a prefix and fails). */
-    IoStatus write(const std::string &bytes);
+    IoStatus write(std::string_view bytes);
 
     /** Stream-level flush record; no durability barrier. */
     IoStatus flush();
@@ -283,7 +284,7 @@ class HostFile
  * its previous complete contents).
  */
 IoStatus hostWriteFileAtomic(const std::string &path,
-                             const std::string &bytes,
+                             std::string_view bytes,
                              Durability durability);
 
 /** Atomic rename; under Durability::Full the destination's parent

@@ -85,7 +85,7 @@ const GoldenRun goldenTable[] = {
     {"jess", "cpu.model=superscalar mem.latency=300", 0xd842ba4c935180aaull},
     {"jess", "cpu.model=superscalar tlb.entries=8", 0x67f5ea09336e34a7ull},
     {"jess", "cpu.model=superscalar halt_on_idle=1", 0x52b0cbda2327fe77ull},
-    {"jess", "cpu.model=superscalar checkpoint_every_s=0.0002", 0xb6d4b68e1b3f1ca3ull, RunOutcome::Completed, 0xb72d2924a48e4fa2ull},
+    {"jess", "cpu.model=superscalar checkpoint_every_s=0.0002", 0xb6d4b68e1b3f1ca3ull, RunOutcome::Completed, 0x088e891bb01e9a81ull},
     {"jess", "cpu.model=superscalar deadline_s=0.00041", 0x8471e617eba342a8ull, RunOutcome::DeadlineExceeded},
     {"jess", "cpu.model=superscalar max_cycles=70001", 0x9e07647d408631d0ull, RunOutcome::WatchdogExpired},
     {"jess", "cpu.model=inorder sample_window=997", 0xca7e876264d5f95aull},
@@ -98,8 +98,8 @@ const GoldenRun goldenTable[] = {
     {"jess", "cpu.model=inorder max_cycles=150001", 0xd1ac3ed6c01a1f11ull, RunOutcome::WatchdogExpired},
     {"jess", "cpu.model=inorder deadline_s=0.00041", 0xe3902fa82f9b6b27ull, RunOutcome::DeadlineExceeded},
     {"jess", "cpu.model=inorder max_cycles=70001", 0x23af39cb68b8217full, RunOutcome::WatchdogExpired},
-    {"jess", "cpu.model=inorder checkpoint_every_s=0.0002", 0x9649ee3219cb64ffull, RunOutcome::Completed, 0xa85bdb5135b05543ull},
-    {"jess", "cpu.model=inorder disk.config=spindown disk.threshold_s=0.001 adaptive_spindown=1 dvfs=1 power_budget_w=6 sample_window=2000 checkpoint_every_s=0.001", 0xe97f58ba86254218ull, RunOutcome::Completed, 0x26b0e5333bf0b59dull},
+    {"jess", "cpu.model=inorder checkpoint_every_s=0.0002", 0x9649ee3219cb64ffull, RunOutcome::Completed, 0xea4faab9783c0402ull},
+    {"jess", "cpu.model=inorder disk.config=spindown disk.threshold_s=0.001 adaptive_spindown=1 dvfs=1 power_budget_w=6 sample_window=2000 checkpoint_every_s=0.001", 0xe97f58ba86254218ull, RunOutcome::Completed, 0x5dd2161e5ba02ef2ull},
 };
 // clang-format on
 

@@ -46,7 +46,7 @@ cpuModelName(std::uint8_t model)
 /**
  * Decode and pretty-print the power-subsystem chunk: the kernel's
  * last power-meter reading plus the DVFS governor and adaptive
- * spin-down policy state, mirroring System::buildCheckpointImage.
+ * spin-down policy state, mirroring System::serializeCheckpoint.
  * Decode errors are reported but non-fatal — the chunk's checksum
  * already verified, so a short payload means a format-version skew,
  * worth seeing rather than dying over in an inspection tool.
