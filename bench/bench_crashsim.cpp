@@ -6,10 +6,11 @@
  *
  *  1. A runner sweep under durability=full — resume journal appends
  *     with fdatasync barriers, periodic checkpoint autosaves
- *     (temp-then-rename with fsync'd directories), and the final
- *     atomic document write.
- *  2. A serve checkpoint-pool session — in-flight image writes and
- *     promote/rotate rename chains for several keys.
+ *     (temp-then-rename with fsync'd directories for each image, the
+ *     first write of each log, and fdatasync'd appends to it after),
+ *     and the final atomic document write.
+ *  2. A serve checkpoint-pool session — in-flight image and log
+ *     writes and promote/rotate rename chains for several keys.
  *
  * It then replays EVERY op-log prefix of both sessions under every
  * CrashVariant (synced-only, everything-persisted, torn-tail) into a
@@ -20,8 +21,9 @@
  *  - Recovery never crashes, whatever the prefix left behind.
  *  - Recovery never serves corrupt data: every journal entry that
  *    parses is byte-identical to one the reference session wrote,
- *    and every checkpoint that reads back is byte-identical to a
- *    recorded image payload.
+ *    and every checkpoint that reads back, with the log prefix it
+ *    reads, is byte-identical to an image the session wrote and the
+ *    log as it stood when that image was written.
  *  - No acknowledged answer is lost: under durability=full, a
  *    journal entry whose fdatasync barrier completed inside the
  *    prefix is present in every variant — a power cut after the ack
@@ -105,10 +107,11 @@ struct Session
     std::vector<JournalEntry> refEntries; ///< Journal ground truth.
     std::string documentPath;             ///< "" when none.
     std::string documentBytes;
-    /** Every complete image payload that went through an atomic
-     *  checkpoint write ("<dest>.tmp" Write ops). A recovered
-     *  checkpoint file must byte-match one of these. */
-    std::set<std::string> imagePayloads;
+    /** Every complete image that went through an atomic checkpoint
+     *  write ("<dest>.ckpt.tmp" Write ops), with the log it used: the
+     *  whole of "<dest>.ckpt.log" at that moment. A recovered
+     *  checkpoint and its log prefix must byte-match one of these. */
+    std::set<std::pair<std::string, std::string>> imagePayloads;
     /** Atomic-rename destinations ending in ".ckpt" (autosave and
      *  pool slots): the files recovery probes. */
     std::set<std::string> checkpointPaths;
@@ -128,16 +131,43 @@ ackedSyncs(const std::vector<IoRecord> &log, std::size_t prefix,
     return acked;
 }
 
-/** Harvest image payloads and checkpoint destinations from a log. */
+/**
+ * Harvest image payloads, the logs they used and checkpoint
+ * destinations from a log. Each image uses all of its log, which the
+ * writer brings up to date just before the image, so following the
+ * log files' writes and renames in op order gives every image's log.
+ */
 void
 harvestCheckpoints(Session &session)
 {
+    std::map<std::string, std::string> files;  // log files, by path
+    std::map<std::string, std::string> images; // temp images, by path
     for (const IoRecord &op : session.log) {
-        if (op.kind == IoOpKind::Write && endsWith(op.path, ".tmp"))
-            session.imagePayloads.insert(op.data);
-        if (op.kind == IoOpKind::Rename &&
-            endsWith(op.path, ".tmp") && endsWith(op.path2, ".ckpt"))
-            session.checkpointPaths.insert(op.path2);
+        switch (op.kind) {
+          case IoOpKind::Open:
+              if (op.truncate)
+                  files[op.path].clear();
+              break;
+          case IoOpKind::Write:
+              if (endsWith(op.path, ".ckpt.tmp"))
+                  images[op.path] = op.data;
+              else
+                  files[op.path] += op.data;
+              break;
+          case IoOpKind::Rename:
+              if (endsWith(op.path, ".ckpt.tmp") &&
+                  endsWith(op.path2, ".ckpt")) {
+                  session.checkpointPaths.insert(op.path2);
+                  session.imagePayloads.emplace(
+                      images[op.path],
+                      files[checkpointLogPath(op.path2)]);
+              } else {
+                  files[op.path2] = files[op.path];
+              }
+              break;
+          default:
+              break;
+        }
     }
 }
 
@@ -202,6 +232,7 @@ recordPool(const std::string &root)
                 payload.u64(generation);
                 payload.str("crashsim-pool");
                 image.add("payload", std::move(payload));
+                image.log.assign(64 * generation, std::uint8_t(key));
                 writeCheckpoint(inflight, image, Durability::Full);
                 if (!pool.promote(key, inflight))
                     fatal("crashsim: reference promote failed");
@@ -247,23 +278,26 @@ dumpOpLogs(const std::string &path,
 
 /**
  * Read a checkpoint with generation fallback, the way recovery does:
- * newest first, rotated predecessor second. @return the raw bytes of
- * the generation that verified, or "" when both are torn/absent —
- * never an image that failed its checksum.
+ * newest first, rotated predecessor second, each with the prefix of
+ * the shared log it uses. @return the raw bytes of the generation
+ * that verified and of its log prefix, or two empty strings when both
+ * are torn/absent — never an image or log that failed its checksum.
  */
-std::string
+std::pair<std::string, std::string>
 restoreWithFallback(const std::string &path)
 {
     for (const std::string &candidate :
          {path, checkpointPreviousGeneration(path)}) {
         try {
-            readCheckpoint(candidate);
-            return slurp(candidate);
+            CheckpointImage image =
+                readCheckpoint(candidate, checkpointLogPath(path));
+            return {slurp(candidate),
+                    std::string(image.log.begin(), image.log.end())};
         } catch (const CheckpointError &) {
             // Detected corruption or absence: fall back.
         }
     }
-    return "";
+    return {};
 }
 
 /** Map a recorded path into the replay scratch root. */
@@ -329,13 +363,13 @@ verifyPrefix(Check &check, const Session &session,
         // Checkpoint recovery: whatever reads back through the
         // fallback chain must be an image the session really wrote.
         for (const std::string &ckpt : session.checkpointPaths) {
-            std::string bytes = restoreWithFallback(
+            auto restored = restoreWithFallback(
                 mapToScratch(ckpt, recordRoot, scratchRoot));
-            if (bytes.empty())
+            if (restored.first.empty())
                 continue;  // Lost progress: acceptable.
-            check.expect(session.imagePayloads.count(bytes) != 0,
+            check.expect(session.imagePayloads.count(restored) != 0,
                          where.str() + ": restored '" + ckpt +
-                             "' is not a recorded image");
+                             "' is not a recorded image and log");
         }
 
         // Pool recovery over the wreck must not throw, and anything
@@ -348,10 +382,10 @@ verifyPrefix(Check &check, const Session &session,
                 std::string hit = pool.lookup(key);
                 if (hit.empty())
                     continue;
-                std::string bytes = restoreWithFallback(hit);
+                auto restored = restoreWithFallback(hit);
                 check.expect(
-                    bytes.empty() ||
-                        session.imagePayloads.count(bytes) != 0,
+                    restored.first.empty() ||
+                        session.imagePayloads.count(restored) != 0,
                     where.str() + ": pool served a non-recorded "
                                   "image for key " +
                         serve::CheckpointPool::keyName(key));

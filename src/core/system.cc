@@ -835,7 +835,7 @@ System::applyCheckpointImage(const CheckpointImage &image)
         totalsBank.loadState(r);
     });
     apply("sample-log",
-          [&](ChunkReader &r) { sampleLog.loadState(r); });
+          [&](ChunkReader &r) { sampleLog.loadState(r, image.log); });
     apply("system", [&](ChunkReader &r) {
         windowStart = r.u64();
         idleStreak = r.u64();
@@ -878,6 +878,8 @@ System::applyCheckpointImage(const CheckpointImage &image)
     // replay the restored log so subsequent windows (and the batch
     // trace) continue bit-identically.
     rebuildPowerStream();
+    // The restored log replaces the one this machine last wrote.
+    ckptFile.forgetLog();
 }
 
 void
@@ -926,7 +928,7 @@ System::restoreCheckpoint(const std::string &path)
     if (!have_image) {
         source = checkpointPreviousGeneration(path);
         try {
-            image = readCheckpoint(source);
+            image = readCheckpoint(source, checkpointLogPath(path));
             checkCheckpointCompatible(image, source);
             have_image = true;
         } catch (const CheckpointMismatch &err) {
@@ -957,7 +959,8 @@ void
 System::writeCheckpointNow(const std::string &path)
 {
     serializeCheckpoint();
-    ckptFile.write(path, Durability::Buffered);
+    ckptFile.write(path, sampleLog.encoded(), sampleLog.encodedChecksum(),
+                   Durability::Buffered);
 }
 
 void
@@ -972,7 +975,8 @@ System::takeCheckpoint()
     // squashes could no longer be paired with saved images.
     try {
         serializeCheckpoint();
-        ckptFile.autosave(autosavePath, ckptDurability);
+        ckptFile.autosave(autosavePath, sampleLog.encoded(),
+                          sampleLog.encodedChecksum(), ckptDurability);
         ++numCheckpoints;
     } catch (const CheckpointError &err) {
         ckptDegraded = true;

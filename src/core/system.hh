@@ -232,7 +232,9 @@ class System : public PowerMeter
      * Arm periodic autosave checkpoints: once per @p every_seconds
      * of simulated time, run() writes the machine state to
      * @p autosave_path (atomic write-to-temp-then-rename, keeping
-     * the previous generation as "<path>.1"). 0 disables.
+     * the previous generation as "<path>.1"), and appends the sample
+     * windows closed since the previous autosave to the log beside
+     * it, "<path>.log". 0 disables.
      *
      * Taking a checkpoint squashes the pipeline at the checkpoint
      * tick (a deterministic perturbation), so bit-identity holds
@@ -260,8 +262,10 @@ class System : public PowerMeter
 
     /**
      * Restore machine state from a checkpoint file. Must be called
-     * after attachWorkload() and before run(). Damaged files fall
-     * back to the previous autosave generation ("<path>.1"); if both
+     * after attachWorkload() and before run(). A damaged image, or
+     * one whose prefix of the shared log "<path>.log" is short or
+     * damaged, falls back to the previous autosave generation
+     * ("<path>.1"); if both
      * generations are unusable the run starts from scratch and this
      * returns false. A version or configuration-fingerprint mismatch
      * is fatal().
@@ -275,8 +279,9 @@ class System : public PowerMeter
     bool restoreCheckpoint(const std::string &path);
 
     /**
-     * Write a checkpoint of the current machine state to @p path
-     * (no generation rotation). The machine must be at a safe point
+     * Write a checkpoint of the current machine state to @p path,
+     * and the whole sample log to "<path>.log" (no generation
+     * rotation). The machine must be at a safe point
      * (checkpointSafeNow()); in-flight work is squashed and requeued.
      */
     void writeCheckpointNow(const std::string &path);

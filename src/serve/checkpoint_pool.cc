@@ -70,6 +70,7 @@ CheckpointPool::recover()
     std::vector<std::string> poolFiles;
     std::vector<std::pair<std::uint64_t, std::string>> orphans;
     std::vector<std::pair<std::uint64_t, std::string>> poolRotated;
+    std::vector<std::pair<std::uint64_t, std::string>> poolLogs;
     std::vector<std::string> rotated;
     for (const fs::directory_entry &entry :
          fs::directory_iterator(dir, ec)) {
@@ -87,15 +88,19 @@ CheckpointPool::recover()
             // promoted back into the slot or deleted, or it is never
             // tracked and leaks across daemon generations.
             poolRotated.emplace_back(key, entry.path().string());
+        } else if (rest == ".ckpt.log") {
+            // A slot's log: kept while either generation is.
+            poolLogs.emplace_back(key, entry.path().string());
         } else if (rest.compare(0, 10, ".inflight.") == 0) {
             if (rest.size() > 5 &&
                 rest.compare(rest.size() - 5, 5, ".ckpt") == 0)
                 orphans.emplace_back(key, entry.path().string());
             else
-                // A rotated in-flight generation (".ckpt.1"). It
-                // must outlive the orphan pass — a torn newest
-                // generation falls back to it — so only note it for
-                // the final sweep.
+                // A rotated in-flight generation (".ckpt.1") or an
+                // in-flight log (".ckpt.log"). It must outlive the
+                // orphan pass — a torn newest generation falls back
+                // to the former, and both read the latter — so only
+                // note it for the final sweep.
                 rotated.push_back(entry.path().string());
         }
     }
@@ -194,6 +199,10 @@ CheckpointPool::recover()
     // promoted directly, or whose base vanished entirely).
     for (const std::string &path : rotated)
         hostRemoveBestEffort(path);
+    for (const auto &[key, path] : poolLogs) {
+        if (!sizes.count(key))
+            hostRemoveBestEffort(path);
+    }
     enforceBudgetLocked();
     if (promoted > 0) {
         inform(msg() << "checkpoint pool: promoted " << promoted
@@ -264,8 +273,7 @@ CheckpointPool::promoteLocked(std::uint64_t key, const std::string &image,
             warn(msg() << "checkpoint pool: cannot rotate '" << pool
                        << "': " << rotated.message
                        << " (keeping the existing image)");
-            hostRemoveBestEffort(inflight_path);
-            hostRemoveBestEffort(previous);
+            discard(inflight_path);
             refreshSizeLocked(key);
             return false;
         }
@@ -274,12 +282,25 @@ CheckpointPool::promoteLocked(std::uint64_t key, const std::string &image,
     if (!moved) {
         warn(msg() << "checkpoint pool: cannot promote '" << image
                    << "': " << moved.message);
-        hostRemoveBestEffort(inflight_path);
-        hostRemoveBestEffort(previous);
+        discard(inflight_path);
         // The slot may now hold only the rotated generation; re-stat
         // so the index never points at files that are not there.
         refreshSizeLocked(key);
         return false;
+    }
+    // The log moves after the image: until it does, the rotated
+    // generation keeps the log it was written with.
+    std::string log = checkpointLogPath(inflight_path);
+    if (hostFileExists(log)) {
+        IoStatus logged =
+            hostRename(log, checkpointLogPath(pool), durability);
+        if (!logged) {
+            warn(msg() << "checkpoint pool: cannot promote '" << log
+                       << "': " << logged.message);
+            discard(inflight_path);
+            refreshSizeLocked(key);
+            return false;
+        }
     }
     // The generation that was not renamed is stale now.
     hostRemoveBestEffort(image == inflight_path ? previous
@@ -294,6 +315,7 @@ CheckpointPool::discard(const std::string &inflight_path)
 {
     hostRemoveBestEffort(inflight_path);
     hostRemoveBestEffort(checkpointPreviousGeneration(inflight_path));
+    hostRemoveBestEffort(checkpointLogPath(inflight_path));
 }
 
 std::uint64_t
@@ -324,15 +346,15 @@ void
 CheckpointPool::refreshSizeLocked(std::uint64_t key)
 {
     std::string path = poolPath(key);
-    std::uint64_t total =
+    std::uint64_t images =
         hostFileSize(path) +
         hostFileSize(checkpointPreviousGeneration(path));
-    if (total == 0) {
+    if (images == 0) {
         lru.remove(key);
         sizes.erase(key);
         return;
     }
-    sizes[key] = total;
+    sizes[key] = images + hostFileSize(checkpointLogPath(path));
 }
 
 void
@@ -355,6 +377,7 @@ CheckpointPool::enforceBudgetLocked()
         std::string path = poolPath(victim);
         hostRemoveBestEffort(path);
         hostRemoveBestEffort(checkpointPreviousGeneration(path));
+        hostRemoveBestEffort(checkpointLogPath(path));
         sizes.erase(victim);
         used -= size;
         ++evicted;

@@ -11,8 +11,11 @@
  * machine and workload but not run management like deadlines — with
  * the previous image kept one generation back, mirroring
  * autosaveCheckpoint's rotation so a corrupt newest image falls back
- * instead of failing. A later job with the same fingerprint restores
- * from the pooled image and skips straight past warm-up.
+ * instead of failing. An image and its log are a pair: the in-flight
+ * log moves with the promoted image to "<slot>.log", which both of
+ * the slot's generations share, and counts against the budget. A
+ * later job with the same fingerprint restores from the pooled image
+ * and skips straight past warm-up.
  *
  * The pool is LRU-bounded by a byte budget. A budget of zero selects
  * scratch mode: jobs still autosave at the cadence (checkpointing is
@@ -90,7 +93,8 @@ class CheckpointPool
      */
     bool promote(std::uint64_t key, const std::string &inflight_path);
 
-    /** Delete a job's in-flight files without promoting them. */
+    /** Delete a job's in-flight files (both generations and their
+     *  log) without promoting them. */
     void discard(const std::string &inflight_path);
 
     /** Pool file name for a key: 16 hex digits + ".ckpt". */
@@ -131,7 +135,7 @@ class CheckpointPool
     /** Most-recently-used first. */
     std::list<std::uint64_t> lru;
 
-    /** key -> bytes on disk (current + previous generation). */
+    /** key -> bytes on disk (current + previous generation + log). */
     std::map<std::uint64_t, std::uint64_t> sizes;
 
     mutable std::mutex mutex;

@@ -1,5 +1,6 @@
 #include "sim/checkpoint.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,9 +18,12 @@ constexpr char checkpointMagic[6] = {'S', 'W', 'C', 'K', 'P', 'T'};
 constexpr std::uint64_t fnvOffsetBasis = 0xcbf29ce484222325ull;
 constexpr std::uint64_t fnvPrime = 0x100000001b3ull;
 
-/** Where the header keeps the chunk count: after the magic, the
- *  version, the fingerprint and the CPU model. */
-constexpr std::size_t chunkCountAt = sizeof(checkpointMagic) + 2 + 8 + 1;
+/** Where the header keeps the log prefix's length and checksum:
+ *  after the magic, the version, the fingerprint and the CPU model. */
+constexpr std::size_t logRefAt = sizeof(checkpointMagic) + 2 + 8 + 1;
+
+/** Where the header keeps the chunk count, after the log reference. */
+constexpr std::size_t chunkCountAt = logRefAt + 8 + 8;
 
 /** Practical ceilings that keep a damaged length field from driving
  *  a multi-gigabyte allocation before the checksum catches it. */
@@ -73,9 +77,11 @@ class FileCursor
     std::size_t cursor = 0;
 };
 
-/** The whole file in one sized read. */
+/** The file's first @p limit bytes, or all of a shorter file, in one
+ *  sized read. */
 std::vector<std::uint8_t>
-readFileBytes(const std::string &path)
+readFileBytes(const std::string &path,
+              std::uintmax_t limit = ~std::uintmax_t(0))
 {
     std::ifstream in(path, std::ios::binary);
     std::error_code ec;
@@ -84,6 +90,7 @@ readFileBytes(const std::string &path)
         throw CheckpointError(msg() << "checkpoint: cannot open '"
                                     << path << "' for reading");
     }
+    size = std::min(size, limit);
     std::vector<std::uint8_t> bytes(size);
     in.read(reinterpret_cast<char *>(bytes.data()),
             std::streamsize(size));
@@ -110,17 +117,22 @@ fnv1a64(const std::uint8_t *data, std::size_t size)
 std::uint64_t
 checksum64(const std::uint8_t *data, std::size_t size)
 {
-    std::uint64_t state = fnvOffsetBasis;
-    std::size_t words = size / 8;
-    for (std::size_t i = 0; i < words; ++i) {
+    return RunningChecksum().of(data, size);
+}
+
+std::uint64_t
+RunningChecksum::of(const std::uint8_t *data, std::size_t size)
+{
+    for (; hashed + 8 <= size; hashed += 8) {
         std::uint64_t word = 0;
         for (int b = 0; b < 8; ++b)
-            word |= std::uint64_t(data[8 * i + b]) << (8 * b);
+            word |= std::uint64_t(data[hashed + b]) << (8 * b);
         state = (state ^ word) * fnvPrime;
     }
-    for (std::size_t i = 8 * words; i < size; ++i)
-        state = (state ^ data[i]) * fnvPrime;
-    return state;
+    std::uint64_t tail = state;
+    for (std::size_t i = hashed; i < size; ++i)
+        tail = (tail ^ data[i]) * fnvPrime;
+    return tail;
 }
 
 void
@@ -237,7 +249,8 @@ CheckpointWriter::begin(std::uint64_t fingerprint,
                         std::uint8_t cpu_model, std::uint16_t version)
 {
     // The header in one insert: magic, version, fingerprint, CPU
-    // model and a chunk count that each chunk bumps.
+    // model, the log reference filled in at write time, and a chunk
+    // count that each chunk bumps.
     std::uint8_t header[chunkCountAt + 4] = {};
     std::memcpy(header, checkpointMagic, sizeof(checkpointMagic));
     for (int i = 0; i < 2; ++i)
@@ -274,24 +287,87 @@ CheckpointWriter::closeChunk(std::size_t framing)
                      8);
 }
 
-void
-CheckpointWriter::write(const std::string &path, Durability durability)
+namespace
 {
-    // Temp-then-rename through the host-I/O seam: under
-    // Durability::Full the temp file is fsynced before the rename
-    // and the parent directory afterwards, so a power cut can never
-    // leave a zero-length or torn file under the final name.
+
+std::string_view
+bytesOf(const std::uint8_t *data, std::size_t size)
+{
+    return std::string_view(reinterpret_cast<const char *>(data), size);
+}
+
+[[noreturn]] void
+cannotWrite(const std::string &path, const IoStatus &status)
+{
+    throw CheckpointError(msg() << "checkpoint: cannot write '" << path
+                                << "': " << status.message);
+}
+
+} // namespace
+
+void
+CheckpointWriter::writeLog(const std::string &path,
+                           const std::vector<std::uint8_t> &log,
+                           bool append, Durability durability)
+{
+    // An image that uses no log never reads one.
+    if (log.empty())
+        return;
+    std::string log_path = checkpointLogPath(path);
+    bool appending = append && loggedPath == log_path &&
+                     logged <= log.size() &&
+                     hostFileSize(log_path) == logged;
+    if (appending && logged == log.size())
+        return;
+    loggedPath.clear();
+    IoStatus status;
+    if (appending) {
+        // Only bytes past every prefix an image on disk uses.
+        HostFile out;
+        status = out.open(log_path, false, durability);
+        if (status)
+            status = out.write(
+                bytesOf(log.data() + logged, log.size() - logged));
+        if (status && durability == Durability::Full)
+            status = out.sync();
+    } else {
+        // Temp-then-rename through the host-I/O seam: under
+        // Durability::Full the temp file is fsynced before the rename
+        // and the parent directory afterwards, so a power cut can
+        // never leave a zero-length or torn file under the final
+        // name.
+        status = hostWriteFileAtomic(
+            log_path, bytesOf(log.data(), log.size()), durability);
+    }
+    if (!status)
+        cannotWrite(log_path, status);
+    loggedPath = log_path;
+    logged = log.size();
+}
+
+void
+CheckpointWriter::writeImage(const std::string &path,
+                             const std::vector<std::uint8_t> &log,
+                             std::uint64_t log_checksum,
+                             Durability durability)
+{
+    file.overwriteLe(logRefAt, log.size(), 8);
+    file.overwriteLe(logRefAt + 8, log_checksum, 8);
     const std::vector<std::uint8_t> &bytes = file.bytes();
     IoStatus status = hostWriteFileAtomic(
-        path,
-        std::string_view(reinterpret_cast<const char *>(bytes.data()),
-                         bytes.size()),
-        durability);
-    if (!status) {
-        throw CheckpointError(msg() << "checkpoint: cannot write '"
-                                    << path
-                                    << "': " << status.message);
-    }
+        path, bytesOf(bytes.data(), bytes.size()), durability);
+    if (!status)
+        cannotWrite(path, status);
+}
+
+void
+CheckpointWriter::write(const std::string &path,
+                        const std::vector<std::uint8_t> &log,
+                        std::uint64_t log_checksum,
+                        Durability durability)
+{
+    writeLog(path, log, false, durability);
+    writeImage(path, log, log_checksum, durability);
 }
 
 std::string
@@ -300,12 +376,21 @@ checkpointPreviousGeneration(const std::string &path)
     return path + ".1";
 }
 
+std::string
+checkpointLogPath(const std::string &path)
+{
+    return path + ".log";
+}
+
 void
 CheckpointWriter::autosave(const std::string &path,
+                           const std::vector<std::uint8_t> &log,
+                           std::uint64_t log_checksum,
                            Durability durability)
 {
-    // Rotate the current file to the previous generation first; the
-    // write itself goes through tmp+rename, so at every instant at
+    // Rotate the current image to the previous generation first; the
+    // write itself goes through tmp+rename, and the log only grows
+    // past the prefix the rotated image uses, so at every instant at
     // least one complete generation exists on disk. A rotation
     // failure is survivable — the overwrite still lands atomically,
     // the pool just keeps a single generation for this cycle — so
@@ -321,7 +406,8 @@ CheckpointWriter::autosave(const std::string &path,
                        << rotated.message);
         }
     }
-    write(path, durability);
+    writeLog(path, log, true, durability);
+    writeImage(path, log, log_checksum, durability);
 }
 
 namespace
@@ -348,7 +434,9 @@ void
 writeCheckpoint(const std::string &path,
                 const CheckpointImage &image, Durability durability)
 {
-    serialized(image).write(path, durability);
+    serialized(image).write(
+        path, image.log, checksum64(image.log.data(), image.log.size()),
+        durability);
 }
 
 void
@@ -356,11 +444,28 @@ autosaveCheckpoint(const std::string &path,
                    const CheckpointImage &image,
                    Durability durability)
 {
-    serialized(image).autosave(path, durability);
+    serialized(image).autosave(
+        path, image.log, checksum64(image.log.data(), image.log.size()),
+        durability);
 }
 
 CheckpointImage
 readCheckpoint(const std::string &path)
+{
+    // A rotated generation has no log of its own: it uses its base's.
+    std::string log_path = checkpointLogPath(path);
+    const std::string rotated = checkpointPreviousGeneration("");
+    if (!hostFileExists(log_path) && path.size() > rotated.size() &&
+        path.compare(path.size() - rotated.size(), rotated.size(),
+                     rotated) == 0) {
+        log_path = checkpointLogPath(
+            path.substr(0, path.size() - rotated.size()));
+    }
+    return readCheckpoint(path, log_path);
+}
+
+CheckpointImage
+readCheckpoint(const std::string &path, const std::string &log_path)
 {
     std::vector<std::uint8_t> bytes = readFileBytes(path);
     FileCursor cursor(bytes, path);
@@ -381,6 +486,8 @@ readCheckpoint(const std::string &path)
     }
     image.configFingerprint = cursor.le(8);
     image.cpuModel = std::uint8_t(cursor.le(1));
+    std::uint64_t log_bytes = cursor.le(8);
+    std::uint64_t log_checksum = cursor.le(8);
 
     std::uint32_t count = std::uint32_t(cursor.le(4));
     if (count > maxChunks) {
@@ -421,6 +528,23 @@ readCheckpoint(const std::string &path)
                               << "checkpoint '" << path
                               << "': trailing garbage after the last "
                               << "chunk");
+    }
+
+    // Only the prefix this image uses: what the log holds past it
+    // belongs to newer images, or to none.
+    if (log_bytes > 0) {
+        if (log_bytes > maxChunkBytes) {
+            throw CheckpointError(msg() << "checkpoint '" << path
+                                        << "': implausible log length "
+                                        << log_bytes);
+        }
+        image.log = readFileBytes(log_path, log_bytes);
+        FileCursor log(image.log, log_path);
+        if (checksum64(log.raw(log_bytes), log_bytes) != log_checksum) {
+            throw CheckpointError(msg() << "checkpoint '" << log_path
+                                        << "': checksum mismatch in "
+                                        << "the log prefix");
+        }
     }
     return image;
 }

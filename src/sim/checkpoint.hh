@@ -15,6 +15,8 @@
  *   version          u16      checkpointFormatVersion
  *   fingerprint      u64      machine+workload config fingerprint
  *   cpuModel         u8       CpuModel the image was taken under
+ *   logBytes         u64      length of the log prefix the image uses
+ *   logChecksum      u64      checksum64 of that prefix
  *   chunkCount       u32
  *   chunk*           chunkCount times:
  *     nameLen        u32
@@ -23,7 +25,16 @@
  *     checksum       u64      checksum64 of the payload bytes
  *     payload        payloadLen bytes
  *
- * Corruption (truncation, flipped bytes, bad magic) raises
+ * The log is an append-only file beside the image, "<path>.log"
+ * (checkpointLogPath), holding the bytes a machine only ever appends
+ * to: its closed sample windows. Both autosave generations, "<path>"
+ * and "<path>.1", share it; each image uses the first logBytes bytes,
+ * so an autosave writes its fixed state plus only the log bytes added
+ * since the previous one, and restore reads only the prefix it needs.
+ * Bytes past an image's prefix are ignored.
+ *
+ * Corruption (truncation, flipped bytes, bad magic, a log shorter than
+ * the recorded prefix or a prefix that fails its checksum) raises
  * CheckpointError and is recoverable by falling back to an older
  * autosave generation; a version or fingerprint mismatch raises
  * CheckpointMismatch and is rejected outright — no older generation
@@ -86,6 +97,24 @@ std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t size);
  * shorter than a word hashes as fnv1a64 does.
  */
 std::uint64_t checksum64(const std::uint8_t *data, std::size_t size);
+
+/**
+ * checksum64 of a buffer that only grows: each call folds in only the
+ * whole words added since the previous call, so checksumming a log on
+ * every autosave never rehashes what it hashed before.
+ */
+class RunningChecksum
+{
+  public:
+    /** checksum64(@p data, @p size); the bytes passed to earlier calls
+     *  must still lead @p data. */
+    std::uint64_t of(const std::uint8_t *data, std::size_t size);
+
+  private:
+    std::uint64_t state = 0xcbf29ce484222325ull;
+    /** Bytes folded into state: whole words only. */
+    std::size_t hashed = 0;
+};
 
 /**
  * Little-endian byte-stream builder for one chunk payload.
@@ -288,6 +317,8 @@ struct CheckpointImage
     std::uint64_t configFingerprint = 0;
     std::uint8_t cpuModel = 0;
     std::vector<CheckpointChunk> chunks;
+    /** The log prefix the image uses; empty when it uses none. */
+    std::vector<std::uint8_t> log;
 
     /** Append a chunk, taking over the writer's bytes. */
     void add(const std::string &name, ChunkWriter &&writer);
@@ -300,7 +331,9 @@ struct CheckpointImage
  * Serializes checkpoint images straight into one file buffer, which
  * every image written through the same writer reuses: each chunk's
  * payload is written once, in place, and its length and checksum are
- * filled in after it.
+ * filled in after it. The writer also remembers how much of which log
+ * it last wrote, so an autosave appends only the log bytes that are
+ * new since then.
  */
 class CheckpointWriter
 {
@@ -320,27 +353,45 @@ class CheckpointWriter
     }
 
     /**
-     * Write the image begun last to @p path atomically: the bytes go
-     * to "<path>.tmp", which is renamed over @p path, so a crash
-     * mid-write never leaves a half-written file under the final
-     * name. Under Durability::Full the temp file is fsynced before
-     * the rename and the parent directory after it, so the image
-     * also survives a power cut. Throws CheckpointError on I/O
-     * failure (the temp file is cleaned up and @p path keeps its
-     * previous complete contents).
+     * Write the image begun last, using all of @p log (whose
+     * checksum64 is @p log_checksum), as the only generation at
+     * @p path. The log goes whole to checkpointLogPath(@p path), then
+     * the image to @p path, each atomically: the bytes go to
+     * "<file>.tmp", which is renamed over the file, so a crash
+     * mid-write never leaves a half-written file under its final
+     * name. Under Durability::Full each temp file is fsynced before
+     * its rename and the parent directory after it, so both also
+     * survive a power cut. Throws CheckpointError on I/O failure (the
+     * temp files are cleaned up and the files keep their previous
+     * complete contents).
      */
-    void write(const std::string &path, Durability durability);
+    void write(const std::string &path,
+               const std::vector<std::uint8_t> &log,
+               std::uint64_t log_checksum, Durability durability);
 
     /**
-     * Autosave the image begun last to @p path, keeping the last two
-     * generations: the previous @p path (if any) is rotated to
-     * "<path>.1" before the atomic write, so a crash — or corruption
-     * of the newest file — can always fall back one generation. A
-     * failed rotation is survivable (warn and overwrite in place,
-     * keeping a single generation); a failed write throws
-     * CheckpointError with the prior generation still intact on disk.
+     * Autosave the image begun last, using all of @p log, to @p path,
+     * keeping the last two generations: the previous @p path (if any)
+     * is rotated to "<path>.1" first, so a crash — or corruption of
+     * the newest image — can always fall back one generation. Then
+     * the log is brought up to date: when this writer wrote
+     * checkpointLogPath(@p path) last and the file still has the
+     * length it left, only the bytes of @p log past that length are
+     * appended (and fsynced under Durability::Full); otherwise the
+     * whole log is written atomically, so a stale log another run
+     * left is never extended. The image is written atomically last.
+     * Appending never touches the prefix "<path>.1" uses. A failed
+     * rotation is survivable (warn and overwrite in place, keeping a
+     * single generation); a failed write throws CheckpointError with
+     * the prior generation still intact on disk.
      */
-    void autosave(const std::string &path, Durability durability);
+    void autosave(const std::string &path,
+                  const std::vector<std::uint8_t> &log,
+                  std::uint64_t log_checksum, Durability durability);
+
+    /** Write the next log whole, whatever this writer wrote before:
+     *  the bytes it would append to may no longer lead the log. */
+    void forgetLog() { loggedPath.clear(); }
 
   private:
     /** Write a chunk's framing and return where its lengths go. */
@@ -349,27 +400,57 @@ class CheckpointWriter
     /** Fill in the framing at @p framing for the payload after it. */
     void closeChunk(std::size_t framing);
 
+    /** Bring checkpointLogPath(@p path) up to @p log, appending when
+     *  @p append and this writer left the file. */
+    void writeLog(const std::string &path,
+                  const std::vector<std::uint8_t> &log, bool append,
+                  Durability durability);
+
+    /** Record @p log in the header and write the image to @p path. */
+    void writeImage(const std::string &path,
+                    const std::vector<std::uint8_t> &log,
+                    std::uint64_t log_checksum, Durability durability);
+
     ChunkWriter file;
     std::uint32_t chunks = 0;
+    /** The log this writer wrote last ("" for none), and its length
+     *  on disk then. */
+    std::string loggedPath;
+    std::uint64_t logged = 0;
 };
 
-/** CheckpointWriter::write of @p image. */
+/** CheckpointWriter::write of @p image and its log. */
 void writeCheckpoint(const std::string &path,
                      const CheckpointImage &image,
                      Durability durability = Durability::Buffered);
 
-/** CheckpointWriter::autosave of @p image. */
+/** CheckpointWriter::autosave of @p image and its log, by a writer
+ *  that has written nothing before. */
 void autosaveCheckpoint(const std::string &path,
                         const CheckpointImage &image,
                         Durability durability = Durability::Buffered);
+
+/** The log beside the checkpoint at @p path ("<path>.log"), which
+ *  both of its generations use. */
+std::string checkpointLogPath(const std::string &path);
 
 /** The older-generation autosave path for @p path ("<path>.1"). */
 std::string checkpointPreviousGeneration(const std::string &path);
 
 /**
  * Parse and fully verify a checkpoint file: magic, version, chunk
- * framing and every payload checksum. Throws CheckpointMismatch on an
- * unsupported version and CheckpointError on any damage.
+ * framing and every payload checksum, then read the log prefix the
+ * header records from @p log_path and verify its length and checksum.
+ * Throws CheckpointMismatch on an unsupported version and
+ * CheckpointError on any damage, the log's included.
+ */
+CheckpointImage readCheckpoint(const std::string &path,
+                               const std::string &log_path);
+
+/**
+ * readCheckpoint(@p path, checkpointLogPath(@p path)); for a rotated
+ * generation "<base>.1" without a log of its own, the log it shares,
+ * checkpointLogPath("<base>").
  */
 CheckpointImage readCheckpoint(const std::string &path);
 

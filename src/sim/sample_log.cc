@@ -242,25 +242,23 @@ void
 SampleLog::saveState(ChunkWriter &out) const
 {
     out.u64(size());
-    out.raw(windows.bytes().data(), windows.bytes().size());
 }
 
 void
-SampleLog::loadState(ChunkReader &in)
+SampleLog::loadState(ChunkReader &in, const std::vector<std::uint8_t> &log)
 {
     std::uint64_t count = in.u64();
     // Checked before any allocation: a damaged count must fail as
     // checkpoint damage, not as an allocation failure.
-    if (count > in.remaining() / minRecordBytes) {
+    if (count > log.size() / minRecordBytes) {
         throw CheckpointError(msg() << "sample log claims " << count
-                                    << " windows but only "
-                                    << in.remaining()
-                                    << " bytes remain");
+                                    << " windows but its log holds "
+                                    << log.size() << " bytes");
     }
     // Every window is checked in place before the log changes; the
     // bytes are then kept as they are.
-    const std::uint8_t *begin = in.unread();
-    const std::uint8_t *end = begin + in.remaining();
+    const std::uint8_t *begin = log.data();
+    const std::uint8_t *end = begin + log.size();
     std::vector<std::size_t> starts;
     starts.reserve(count);
     const std::uint8_t *at = begin;
@@ -268,10 +266,16 @@ SampleLog::loadState(ChunkReader &in)
         starts.push_back(std::size_t(at - begin));
         at = checkedWindowEnd(at, end, i);
     }
-    std::size_t length = std::size_t(at - begin);
+    if (at != end) {
+        throw CheckpointError(msg() << "sample log holds " << count
+                                    << " windows but its log has "
+                                    << (end - at)
+                                    << " bytes past them");
+    }
     windows = ChunkWriter();
-    windows.raw(in.raw(length), length);
+    windows.raw(begin, log.size());
     offsets = std::move(starts);
+    windowsChecksum = RunningChecksum();
 }
 
 CounterBank

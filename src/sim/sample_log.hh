@@ -129,12 +129,31 @@ class SampleLog
     static bool readCsv(std::istream &in, SampleLog &out);
 
     /**
-     * Checkpointing: the window count, then the stored windows as
-     * they are. Loading checks every window as a decoder would, and
-     * leaves the log unchanged when one is damaged.
+     * The stored windows, back to back: a checkpoint's log, which an
+     * autosave only ever appends to.
+     */
+    const std::vector<std::uint8_t> &encoded() const
+    {
+        return windows.bytes();
+    }
+
+    /** checksum64 of encoded(), hashing only what is new since the
+     *  last call. */
+    std::uint64_t encodedChecksum() const
+    {
+        return windowsChecksum.of(windows.bytes().data(),
+                                  windows.bytes().size());
+    }
+
+    /**
+     * Checkpointing: the window count. The windows themselves are the
+     * checkpoint's log, encoded(); loading takes them as @p log, checks
+     * every window as a decoder would, and leaves the log unchanged
+     * when one is damaged or @p log holds more or fewer windows than
+     * the count.
      */
     void saveState(ChunkWriter &out) const;
-    void loadState(ChunkReader &in);
+    void loadState(ChunkReader &in, const std::vector<std::uint8_t> &log);
 
   private:
     /** Fewest bytes one record takes in a checkpoint: its two ticks
@@ -146,6 +165,8 @@ class SampleLog
     ChunkWriter windows;
     /** Where each window starts in windows.bytes(). */
     std::vector<std::size_t> offsets;
+    /** encodedChecksum()'s words hashed so far. */
+    mutable RunningChecksum windowsChecksum;  // ckpt:derived: of windows
 };
 
 } // namespace softwatt

@@ -22,6 +22,7 @@
 
 #include "sim/checkpoint.hh"
 #include "sim/counters.hh"
+#include "sim/host_io.hh"
 #include "core/runner.hh"
 #include "core/system.hh"
 #include "os/file_system.hh"
@@ -47,6 +48,7 @@ removeCheckpoint(const std::string &path)
 {
     std::remove(path.c_str());
     std::remove(checkpointPreviousGeneration(path).c_str());
+    std::remove(checkpointLogPath(path).c_str());
     std::remove((path + ".tmp").c_str());
 }
 
@@ -479,6 +481,12 @@ TEST(CheckpointRestore, CorruptLatestFallsBackOneGeneration)
     ASSERT_GE(reference->checkpointsTaken(), 2u);
     const std::string expected = finalStateSignature(*reference);
 
+    // Both generations read one log; the older one has none of its
+    // own.
+    const std::string older = checkpointPreviousGeneration(path);
+    ASSERT_FALSE(readCheckpoint(older).log.empty());
+    EXPECT_FALSE(hostFileExists(checkpointLogPath(older)));
+
     // Flip a payload byte in the newest generation.
     std::vector<std::uint8_t> bytes = slurpBytes(path);
     bytes[bytes.size() / 2] ^= 0x01;
@@ -488,11 +496,157 @@ TEST(CheckpointRestore, CorruptLatestFallsBackOneGeneration)
     restored->setCheckpointPolicy(
         tinyCadenceS, scratch("fallback-b.ckpt"));
     ASSERT_TRUE(restored->restoreCheckpoint(path));
+    std::unique_ptr<System> direct = makeSystem();
+    ASSERT_TRUE(direct->restoreCheckpoint(older));
+    EXPECT_EQ(restored->now(), direct->now());
     ASSERT_TRUE(restored->run().ok());
     EXPECT_EQ(finalStateSignature(*restored), expected);
 
     removeCheckpoint(path);
     removeCheckpoint(scratch("fallback-b.ckpt"));
+}
+
+TEST(CheckpointRestore, DamagedLogPrefixFallsBackOneGeneration)
+{
+    QuietLog quiet;
+    const std::string path = scratch("log-damage.ckpt");
+    const std::string log = checkpointLogPath(path);
+    removeCheckpoint(path);
+
+    std::unique_ptr<System> reference = makeSystem();
+    reference->setCheckpointPolicy(tinyCadenceS, path);
+    ASSERT_TRUE(reference->run().ok());
+    ASSERT_GE(reference->checkpointsTaken(), 2u);
+    const std::string expected = finalStateSignature(*reference);
+    const std::vector<std::uint8_t> good = slurpBytes(log);
+    const std::size_t newest = readCheckpoint(path).log.size();
+    const std::size_t older =
+        readCheckpoint(checkpointPreviousGeneration(path)).log.size();
+    ASSERT_EQ(newest, good.size());
+    ASSERT_LT(older, newest);
+
+    // The tick each generation restores to.
+    auto tickOf = [&](const std::string &image) {
+        std::unique_ptr<System> sys = makeSystem();
+        EXPECT_TRUE(sys->restoreCheckpoint(image));
+        return sys->now();
+    };
+    const Tick newest_tick = tickOf(path);
+    const Tick older_tick = tickOf(checkpointPreviousGeneration(path));
+    ASSERT_LT(older_tick, newest_tick);
+
+    std::vector<std::uint8_t> shorter(good.begin(),
+                                      good.begin() + newest - 1);
+    std::vector<std::uint8_t> flipped = good;
+    flipped[(older + newest) / 2] ^= 0x10;
+    std::vector<std::uint8_t> longer = good;
+    longer.insert(longer.end(), 100, 0xee);
+    std::vector<std::uint8_t> flipped_past = longer;
+    flipped_past[newest + 10] ^= 0x10;
+    const struct
+    {
+        const char *what;
+        const std::vector<std::uint8_t> &log;
+        Tick tick;
+    } cases[] = {
+        {"shorter than the newest prefix", shorter, older_tick},
+        {"flipped inside the newest prefix only", flipped, older_tick},
+        {"longer than the newest prefix", longer, newest_tick},
+        {"flipped past the newest prefix", flipped_past, newest_tick},
+    };
+    for (const auto &c : cases) {
+        writeBytes(log, c.log);
+        std::unique_ptr<System> restored = makeSystem();
+        restored->setCheckpointPolicy(tinyCadenceS,
+                                      scratch("log-damage-b.ckpt"));
+        ASSERT_TRUE(restored->restoreCheckpoint(path)) << c.what;
+        EXPECT_EQ(restored->now(), c.tick) << c.what;
+        ASSERT_TRUE(restored->run().ok()) << c.what;
+        EXPECT_EQ(finalStateSignature(*restored), expected) << c.what;
+        removeCheckpoint(scratch("log-damage-b.ckpt"));
+    }
+
+    // A log too short for either generation starts from scratch.
+    writeBytes(log, std::vector<std::uint8_t>(good.begin(),
+                                              good.begin() + older / 2));
+    std::unique_ptr<System> fresh = makeSystem();
+    EXPECT_FALSE(fresh->restoreCheckpoint(path));
+
+    removeCheckpoint(path);
+}
+
+TEST(CheckpointAutosave, EachAutosaveWritesOnlyTheNewWindows)
+{
+    // In-order jess with short windows and a short cadence: many
+    // autosaves, each closing several windows.
+    const std::string path = scratch("constant-cost.ckpt");
+    removeCheckpoint(path);
+    SystemConfig config;
+    config.cpuModel = CpuModel::InOrder;
+    config.sampleWindow = 2'000;
+    System sys(config);
+    sys.attachWorkload(std::make_unique<Workload>(
+        scaleWorkload(benchmarkSpec(Benchmark::Jess), 0.02)));
+    sys.setCheckpointPolicy(0.0001, path);
+    HostIo::instance().startRecording();
+    RunResult result = sys.run();
+    std::vector<IoRecord> ops = HostIo::instance().stopRecording();
+    ASSERT_TRUE(result.ok());
+    ASSERT_GE(sys.checkpointsTaken(), 10u);
+
+    // Every recorded image must verify against the final log, so
+    // each one's prefix is a prefix of it.
+    const std::vector<std::uint8_t> &windows = sys.log().encoded();
+    const std::string final_log = scratch("constant-cost.final.log");
+    writeBytes(final_log, windows);
+    const std::string image_file = scratch("constant-cost.image");
+
+    std::string image_tmp = path + ".tmp";
+    std::vector<CheckpointImage> images;
+    std::vector<std::size_t> image_bytes;
+    std::string logged;  // log bytes written since the last image
+    std::size_t prefix = 0;
+    for (const IoRecord &op : ops) {
+        if (op.kind != IoOpKind::Write)
+            continue;
+        if (op.path != image_tmp) {
+            logged += op.data;
+            continue;
+        }
+        writeBytes(image_file, std::vector<std::uint8_t>(
+                                   op.data.begin(), op.data.end()));
+        images.push_back(readCheckpoint(image_file, final_log));
+        image_bytes.push_back(op.data.size());
+        // Exactly the encoded windows closed since the last autosave.
+        std::size_t now = images.back().log.size();
+        ASSERT_GE(now, prefix);
+        EXPECT_EQ(logged, std::string(windows.begin() + prefix,
+                                      windows.begin() + now))
+            << "autosave " << images.size();
+        prefix = now;
+        logged.clear();
+    }
+    ASSERT_EQ(images.size(), sys.checkpointsTaken());
+    EXPECT_TRUE(logged.empty());
+
+    // The last image is no larger than the first plus what its
+    // chunks other than the sample log grew, though the log did grow.
+    auto otherChunkBytes = [](const CheckpointImage &image) {
+        std::size_t bytes = 0;
+        for (const CheckpointChunk &chunk : image.chunks) {
+            if (chunk.name != "sample-log")
+                bytes += chunk.payload.size();
+        }
+        return bytes;
+    };
+    EXPECT_GT(images.back().log.size(), images.front().log.size());
+    EXPECT_LE(image_bytes.back(),
+              image_bytes.front() + otherChunkBytes(images.back()) -
+                  otherChunkBytes(images.front()));
+
+    removeCheckpoint(path);
+    std::remove(final_log.c_str());
+    std::remove(image_file.c_str());
 }
 
 TEST(CheckpointRestore, BothGenerationsCorruptStartsFromScratch)
@@ -662,23 +816,31 @@ restoreVerdict(const std::string &path)
 
 TEST(CheckpointLoadChecks, SampleLogCountBeyondPayloadIsDamage)
 {
-    // The count is checked before the reserve: 2^60 windows used to
-    // throw std::length_error and 2^40 std::bad_alloc, neither of
-    // which restoreCheckpoint recognizes as a bad image.
+    // The count is checked against the log before the reserve: 2^60
+    // windows used to throw std::length_error and 2^40
+    // std::bad_alloc, neither of which restoreCheckpoint recognizes
+    // as a bad image. A count the log holds more than is damage too.
     QuietLog quiet;
-    for (std::uint64_t count : {std::uint64_t(1) << 60,
-                                std::uint64_t(1) << 40,
-                                std::uint64_t(1)}) {
+    const struct
+    {
+        std::uint64_t count;
+        const char *error;
+    } cases[] = {
+        {std::uint64_t(1) << 60, "sample log claims"},
+        {std::uint64_t(1) << 40, "sample log claims"},
+        {1, "bytes past them"},
+    };
+    for (const auto &c : cases) {
         ChunkWriter log;
-        log.u64(count);
+        log.u64(c.count);
         const std::string path = autosaveWithChunk(
             "sample-log-count.ckpt", "sample-log", std::move(log));
         std::string verdict = restoreVerdict(path);
         EXPECT_NE(verdict.find("verified but failed to apply"),
                   std::string::npos)
-            << count << ": " << verdict;
-        EXPECT_NE(verdict.find("sample log claims"), std::string::npos)
-            << count << ": " << verdict;
+            << c.count << ": " << verdict;
+        EXPECT_NE(verdict.find(c.error), std::string::npos)
+            << c.count << ": " << verdict;
         removeCheckpoint(path);
     }
 }

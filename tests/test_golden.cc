@@ -58,7 +58,8 @@ struct GoldenRun
     const char *args;  ///< Space-separated key=value assignments.
     std::uint64_t digest;
     RunOutcome outcome = RunOutcome::Completed;
-    /** FNV-1a-64 of the final autosave file; rows that autosave. */
+    /** FNV-1a-64 of the final autosave image and its log; rows that
+     *  autosave. */
     std::uint64_t autosaveDigest = 0;
 };
 
@@ -85,7 +86,7 @@ const GoldenRun goldenTable[] = {
     {"jess", "cpu.model=superscalar mem.latency=300", 0xd842ba4c935180aaull},
     {"jess", "cpu.model=superscalar tlb.entries=8", 0x67f5ea09336e34a7ull},
     {"jess", "cpu.model=superscalar halt_on_idle=1", 0x52b0cbda2327fe77ull},
-    {"jess", "cpu.model=superscalar checkpoint_every_s=0.0002", 0xb6d4b68e1b3f1ca3ull, RunOutcome::Completed, 0x088e891bb01e9a81ull},
+    {"jess", "cpu.model=superscalar checkpoint_every_s=0.0002", 0xb6d4b68e1b3f1ca3ull, RunOutcome::Completed, 0x64c841bbc58d9f58ull},
     {"jess", "cpu.model=superscalar deadline_s=0.00041", 0x8471e617eba342a8ull, RunOutcome::DeadlineExceeded},
     {"jess", "cpu.model=superscalar max_cycles=70001", 0x9e07647d408631d0ull, RunOutcome::WatchdogExpired},
     {"jess", "cpu.model=inorder sample_window=997", 0xca7e876264d5f95aull},
@@ -98,8 +99,8 @@ const GoldenRun goldenTable[] = {
     {"jess", "cpu.model=inorder max_cycles=150001", 0xd1ac3ed6c01a1f11ull, RunOutcome::WatchdogExpired},
     {"jess", "cpu.model=inorder deadline_s=0.00041", 0xe3902fa82f9b6b27ull, RunOutcome::DeadlineExceeded},
     {"jess", "cpu.model=inorder max_cycles=70001", 0x23af39cb68b8217full, RunOutcome::WatchdogExpired},
-    {"jess", "cpu.model=inorder checkpoint_every_s=0.0002", 0x9649ee3219cb64ffull, RunOutcome::Completed, 0xea4faab9783c0402ull},
-    {"jess", "cpu.model=inorder disk.config=spindown disk.threshold_s=0.001 adaptive_spindown=1 dvfs=1 power_budget_w=6 sample_window=2000 checkpoint_every_s=0.001", 0xe97f58ba86254218ull, RunOutcome::Completed, 0x5dd2161e5ba02ef2ull},
+    {"jess", "cpu.model=inorder checkpoint_every_s=0.0002", 0x9649ee3219cb64ffull, RunOutcome::Completed, 0xb074310d8dfe0038ull},
+    {"jess", "cpu.model=inorder disk.config=spindown disk.threshold_s=0.001 adaptive_spindown=1 dvfs=1 power_budget_w=6 sample_window=2000 checkpoint_every_s=0.001", 0xe97f58ba86254218ull, RunOutcome::Completed, 0xf05a034672b30480ull},
 };
 // clang-format on
 
@@ -139,15 +140,19 @@ configFor(const GoldenRun &g, RunOptions *options = nullptr)
     return system;
 }
 
-/** FNV-1a-64 of a whole file; 0 when it cannot be read. */
+/** FNV-1a-64 of an autosave image followed by its log; 0 when the
+ *  image cannot be read. */
 std::uint64_t
-fileDigest(const std::string &path)
+autosaveFilesDigest(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    std::ifstream image(path, std::ios::binary);
+    if (!image)
         return 0;
     std::ostringstream bytes;
-    bytes << in.rdbuf();
+    bytes << image.rdbuf();
+    std::ifstream log(checkpointLogPath(path), std::ios::binary);
+    if (log)
+        bytes << log.rdbuf();
     const std::string text = bytes.str();
     return fnv1a64(reinterpret_cast<const std::uint8_t *>(text.data()),
                    text.size());
@@ -202,15 +207,16 @@ TEST(Golden, RunOutputsMatchPinnedDigests)
         SystemConfig config = configFor(g, &options);
         BenchmarkRun run = runBenchmark(benchmarkByName(g.bench), config,
                                         goldenScale, options);
-        // The final autosave pins the checkpoint bytes, so a format
-        // change that forgets to bump checkpointFormatVersion fails
-        // here.
+        // The final autosave and its log pin the checkpoint bytes, so
+        // a format change that forgets to bump
+        // checkpointFormatVersion fails here.
         std::uint64_t autosave_digest =
             options.checkpointEverySeconds > 0
-                ? fileDigest(goldenAutosave)
+                ? autosaveFilesDigest(goldenAutosave)
                 : 0;
         std::remove(goldenAutosave.c_str());
         std::remove(checkpointPreviousGeneration(goldenAutosave).c_str());
+        std::remove(checkpointLogPath(goldenAutosave).c_str());
         ASSERT_TRUE(run.hasData()) << label(g) << ": "
                                    << run.result.diagnostics;
         ASSERT_EQ(runOutcomeName(run.result.outcome),

@@ -32,6 +32,7 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
+#include "fuzz_scale.hh"
 #include "quiet_log.hh"
 
 using namespace softwatt;
@@ -39,7 +40,7 @@ using namespace softwatt;
 namespace
 {
 
-constexpr int iterations = 400;
+const int iterations = fuzzIterations(400);
 
 const char *const journalFields[] = {
     "schema", "experiment", "bench",    "variant",

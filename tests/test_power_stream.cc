@@ -423,6 +423,7 @@ TEST(PowerStream, CheckpointRestoresMeterGovernorAndSpindown)
     auto cleanup = [&path]() {
         std::remove(path.c_str());
         std::remove(checkpointPreviousGeneration(path).c_str());
+        std::remove(checkpointLogPath(path).c_str());
         std::remove((path + ".tmp").c_str());
     };
     cleanup();

@@ -51,15 +51,14 @@ wideRecord(Tick start, Tick end)
 }
 
 /**
- * The sample-log payload as the format lays it out, written field by
- * field: the count, then per window both ticks, the operating point,
- * the bank mode and one varint per cell, modes outer.
+ * The sample log's checkpoint log as the format lays it out, written
+ * field by field: per window both ticks, the operating point, the bank
+ * mode and one varint per cell, modes outer.
  */
 ChunkWriter
-referencePayload(const std::vector<SampleRecord> &records)
+referenceLog(const std::vector<SampleRecord> &records)
 {
     ChunkWriter out;
-    out.u64(records.size());
     for (const SampleRecord &rec : records) {
         out.u64(rec.startTick);
         out.u64(rec.endTick);
@@ -74,12 +73,16 @@ referencePayload(const std::vector<SampleRecord> &records)
     return out;
 }
 
-/** Restore @p payload as a checkpoint restore applies a chunk. */
+/** Restore @p count windows from the checkpoint log @p bytes, as a
+ *  checkpoint restore applies the sample-log chunk. */
 void
-restore(const std::vector<std::uint8_t> &payload, SampleLog &log)
+restore(std::uint64_t count, const std::vector<std::uint8_t> &bytes,
+        SampleLog &log)
 {
-    ChunkReader reader(payload, "sample-log");
-    log.loadState(reader);
+    ChunkWriter chunk;
+    chunk.u64(count);
+    ChunkReader reader(chunk.bytes(), "sample-log");
+    log.loadState(reader, bytes);
     reader.finish();
 }
 
@@ -120,7 +123,12 @@ TEST(SampleLog, SaveStateWritesTheFormatLayout)
         log.append(rec);
     ChunkWriter saved;
     log.saveState(saved);
-    EXPECT_EQ(saved.bytes(), referencePayload(records).bytes());
+    ChunkWriter count;
+    count.u64(records.size());
+    EXPECT_EQ(saved.bytes(), count.bytes());
+    EXPECT_EQ(log.encoded(), referenceLog(records).bytes());
+    EXPECT_EQ(log.encodedChecksum(),
+              checksum64(log.encoded().data(), log.encoded().size()));
 }
 
 TEST(SampleLog, DecodesEveryAppendedField)
@@ -146,29 +154,33 @@ TEST(SampleLog, LoadStateKeepsTheSavedWindows)
 {
     std::vector<SampleRecord> records = twoWindows();
     SampleLog restored;
-    restore(referencePayload(records).bytes(), restored);
+    restored.append(makeRecord(0, 10, 1));
+    restored.encodedChecksum();
+    restore(records.size(), referenceLog(records).bytes(), restored);
     ASSERT_EQ(restored.size(), records.size());
     for (std::size_t i = 0; i < records.size(); ++i)
         expectSameRecord(restored.at(i), records[i]);
-    ChunkWriter again;
-    restored.saveState(again);
-    EXPECT_EQ(again.bytes(), referencePayload(records).bytes());
+    EXPECT_EQ(restored.encoded(), referenceLog(records).bytes());
 
-    // Appending after a restore continues the same log.
+    // Appending after a restore continues the same log, and its
+    // running checksum starts over with the restored bytes.
     restored.append(makeRecord(4000, 4100, 3));
     EXPECT_EQ(restored.size(), 3u);
     EXPECT_EQ(restored.at(2).startTick, 4000u);
+    EXPECT_EQ(restored.encodedChecksum(),
+              checksum64(restored.encoded().data(),
+                         restored.encoded().size()));
 }
 
 TEST(SampleLog, LoadStateRefusesWhatTheDecoderRefused)
 {
     std::vector<SampleRecord> records = twoWindows();
     const std::vector<std::uint8_t> good =
-        referencePayload(records).bytes();
-    // Byte offsets in the payload: the count, then the first window's
-    // head (ticks, operating point, mode), then its cells. The first
-    // cell, user cycles = 2000, takes two bytes; the second is zero.
-    const std::size_t mode_at = 8 + 32;
+        referenceLog(records).bytes();
+    // Byte offsets in the log: the first window's head (ticks,
+    // operating point, mode), then its cells. The first cell, user
+    // cycles = 2000, takes two bytes; the second is zero.
+    const std::size_t mode_at = 32;
     const std::size_t cell_at = mode_at + 4 + 2;
     ASSERT_EQ(good[cell_at], 0u);
 
@@ -190,9 +202,9 @@ TEST(SampleLog, LoadStateRefusesWhatTheDecoderRefused)
 
     // Cut inside the second window's run of zero cells, which the
     // check passes eight at a time.
-    const std::size_t window_bytes = (good.size() - 8) / 2;
+    const std::size_t window_bytes = good.size() / 2;
     std::vector<std::uint8_t> cut_in_zeros(
-        good.begin(), good.begin() + 8 + window_bytes + 150);
+        good.begin(), good.begin() + window_bytes + 150);
 
     std::vector<std::uint8_t> trailing = good;
     trailing.push_back(0);
@@ -207,13 +219,13 @@ TEST(SampleLog, LoadStateRefusesWhatTheDecoderRefused)
         {bad_mode, "execution mode 4 out of range"},
         {truncated, "window 1 is truncated"},
         {cut_in_zeros, "window 1 is truncated"},
-        {trailing, "1 trailing bytes"},
+        {trailing, "1 bytes past them"},
     };
     for (const auto &c : cases) {
         SampleLog log;
         log.append(makeRecord(0, 10, 1));
         try {
-            restore(c.payload, log);
+            restore(records.size(), c.payload, log);
             ADD_FAILURE() << c.error << ": restored";
         } catch (const CheckpointError &err) {
             EXPECT_NE(std::string(err.what()).find(c.error),
@@ -224,7 +236,10 @@ TEST(SampleLog, LoadStateRefusesWhatTheDecoderRefused)
     // A refused window leaves the log as it was.
     SampleLog log;
     log.append(makeRecord(0, 10, 1));
-    EXPECT_THROW(restore(bad_mode, log), CheckpointError);
+    EXPECT_THROW(restore(records.size(), bad_mode, log),
+                 CheckpointError);
+    // So does a count the log cannot hold.
+    EXPECT_THROW(restore(good.size(), good, log), CheckpointError);
     ASSERT_EQ(log.size(), 1u);
     EXPECT_EQ(log.at(0).endTick, 10u);
 }

@@ -33,6 +33,7 @@
 #include "serve/executor.hh"
 #include "serve/protocol.hh"
 
+#include "fuzz_scale.hh"
 #include "quiet_log.hh"
 
 using namespace softwatt;
@@ -41,7 +42,7 @@ using namespace softwatt::serve;
 namespace
 {
 
-constexpr int iterations = 400;
+const int iterations = fuzzIterations(400);
 
 /** Offsets where a member of a compact JSON object line starts. */
 std::vector<std::size_t>

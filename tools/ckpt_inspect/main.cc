@@ -4,12 +4,16 @@
  *
  * For every file named on the command line, parses the image with the
  * same fully-verifying reader the simulator uses (magic, version,
- * chunk framing, every payload checksum) and prints the header plus
- * the chunk table. Exits nonzero when any file fails verification,
- * so CI and shell scripts can gate on checkpoint integrity:
+ * chunk framing, every payload checksum, and the prefix of the log
+ * beside it that the image uses: "<path>.log", or "<base>.log" for a
+ * rotated generation "<base>.1") and prints the header, the log
+ * prefix and the chunk table. Exits nonzero when any file fails
+ * verification, so CI and shell scripts can gate on checkpoint
+ * integrity:
  *
  *   $ softwatt-ckpt run.json.jess.ckpt
  *   run.json.jess.ckpt: format v3, fingerprint 0x4f1d..., cpu in-order
+ *     log prefix: 402112 bytes, checksum64 0x1d0c...
  *     chunk        bytes  checksum64
  *     event-queue     24  0x8c7f3a2b9e4d1c05
  *     ...
@@ -165,6 +169,10 @@ inspect(const char *path)
                 cpuModelName(image.cpuModel),
                 unsigned(image.cpuModel));
 
+    std::printf("  log prefix: %zu bytes, checksum64 0x%016" PRIx64 "\n",
+                image.log.size(),
+                softwatt::checksum64(image.log.data(), image.log.size()));
+
     std::size_t widest = std::strlen("chunk");
     for (const softwatt::CheckpointChunk &chunk : image.chunks)
         widest = std::max(widest, chunk.name.size());
@@ -204,6 +212,7 @@ main(int argc, char **argv)
         std::printf(
             "usage: %s <checkpoint.ckpt> [more.ckpt ...]\n"
             "  Verify and dump SoftWatt machine checkpoints: header,\n"
+            "  the prefix of the log beside each image that it uses,\n"
             "  chunk table with sizes and checksum64 checksums.\n"
             "  Exits 1 if any file is corrupt or incompatible, 2 if\n"
             "  any is missing, unreadable, or a zero-length stub\n"
