@@ -66,7 +66,6 @@ SystemConfig::fromConfig(const Config &config)
         "disk.retry.multiplier", retry.backoffMultiplier);
 
     sc.timeScale = config.getDouble("time_scale", sc.timeScale);
-    sc.kernelParams.timeScale = sc.timeScale;
     sc.sampleWindow =
         Cycles(config.getInt("sample_window", sc.sampleWindow));
     sc.maxCycles = Cycles(
@@ -104,7 +103,7 @@ void
 SystemConfig::validate() const
 {
     machine.validate();
-    if (timeScale <= 0) {
+    if (!(timeScale > 0)) {
         fatal(msg() << "config: time_scale must be > 0 (got "
                     << timeScale
                     << "); use 1 for real time or 100 for the "
@@ -188,7 +187,6 @@ runOutcomeFromName(const std::string &name, RunOutcome &out)
 System::System(const SystemConfig &config) : cfg(config)
 {
     cfg.validate();
-    cfg.kernelParams.timeScale = cfg.timeScale;
 
     machineHierarchy =
         std::make_unique<CacheHierarchy>(cfg.machine, sink);
@@ -649,7 +647,7 @@ writeConfigFields(ChunkWriter &w, const SystemConfig &cfg,
     w.f64(k.tlbSlowPathProb);
     w.f64(k.vfaultProb);
     w.f64(k.clockTickSeconds);
-    w.f64(cfg.timeScale);  // k.timeScale, as System::System sets it
+    w.f64(cfg.timeScale);  // the kernel's, through the disk
     w.u64(k.fileCacheBlocks);
     w.b(k.haltOnIdle);
     w.u64(k.seed);

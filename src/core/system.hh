@@ -135,8 +135,9 @@ struct SystemConfig
  * these bytes and specFingerprint() (journal.hh) prefixes them with
  * the run's identity. It leaves out the CPU model (so a checkpoint
  * restores across models as a warm start) and the deadline and grace
- * budgets (run management, which restore ignores); kernel timeScale
- * is written as the System sets it, from config.timeScale.
+ * budgets (run management, which restore ignores). The kernel's time
+ * scale, which it reads from the disk, is config.timeScale, written in
+ * the kernel's slot.
  */
 void writeConfigFields(ChunkWriter &w, const SystemConfig &config,
                        const WorkloadSpec &workload);

@@ -129,7 +129,7 @@ Disk::Disk(EventQueue &queue, double freq_hz, const DiskConfig &config,
                        : DiskState::Idle),
       lastTransition(queue.now()), epochTick(queue.now())
 {
-    if (time_scale <= 0)
+    if (!(time_scale > 0))
         fatal("disk time_scale must be positive");
     config.fault.validate("disk fault config");
 }

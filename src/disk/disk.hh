@@ -184,6 +184,10 @@ class Disk : public Checkpointable
     /** Paper-equivalent seconds since construction. */
     double elapsedEquivSeconds() const;
 
+    /** Paper-equivalent seconds per simulated second, which the
+     *  kernel's timers share. */
+    double timeCompression() const { return timeScale; }
+
     /**
      * TEST HOOK: drive the state machine straight to @p s through
      * transitionTo(), recording legality exactly as a real transition

@@ -32,11 +32,11 @@ DiskFaultConfig::validate(const char *context) const
     check_rate(transientErrorRate, "transient error rate");
     check_rate(seekErrorRate, "seek error rate");
     check_rate(spinupFailureRate, "spin-up failure rate");
-    if (windowStartSeconds < 0) {
+    if (!(windowStartSeconds >= 0)) {
         fatal(msg() << context << ": fault window start must be >= 0 "
                     << "(got " << windowStartSeconds << ")");
     }
-    if (windowEndSeconds <= windowStartSeconds) {
+    if (!(windowEndSeconds > windowStartSeconds)) {
         fatal(msg() << context << ": fault window end ("
                     << windowEndSeconds
                     << ") must be after its start ("

@@ -19,11 +19,11 @@ Kernel::DiskRetryPolicy::validate(const char *context) const
                     << ">= 1 (got " << maxAttempts
                     << "); 1 means no retries at all");
     }
-    if (backoffSeconds <= 0) {
+    if (!(backoffSeconds > 0)) {
         fatal(msg() << context << ": disk retry backoff must be > 0 "
                     << "seconds (got " << backoffSeconds << ")");
     }
-    if (backoffMultiplier < 1.0) {
+    if (!(backoffMultiplier >= 1.0)) {
         fatal(msg() << context << ": disk retry backoff multiplier "
                     << "must be >= 1 (got " << backoffMultiplier
                     << "); use 1 for constant backoff");
@@ -70,7 +70,7 @@ Kernel::setEnergyFn(EnergyFn fn)
 void
 Kernel::scheduleClockTick()
 {
-    double sim_seconds = cfg.clockTickSeconds / cfg.timeScale;
+    double sim_seconds = cfg.clockTickSeconds / disk.timeCompression();
     Cycles delta =
         Cycles(sim_seconds * machine.freqMhz * 1e6);
     if (delta == 0)
@@ -440,7 +440,7 @@ Tick
 Kernel::ticksForEquivSeconds(double seconds) const
 {
     double ticks =
-        seconds / cfg.timeScale * machine.freqMhz * 1e6;
+        seconds / disk.timeCompression() * machine.freqMhz * 1e6;
     return ticks < 1 ? 1 : Tick(ticks);
 }
 

@@ -91,11 +91,9 @@ class Kernel : public KernelIface, public IoContext,
         /** Fraction of first touches raising an explicit vfault. */
         double vfaultProb = 0.40;
 
-        /** Timer-interrupt period, paper-equivalent seconds. */
+        /** Timer-interrupt period, paper-equivalent seconds (the
+         *  disk's time compression converts it). */
         double clockTickSeconds = 0.05;
-
-        /** Time compression shared with the disk model. */
-        double timeScale = 100.0;
 
         /** Buffer cache capacity in blocks. */
         std::size_t fileCacheBlocks = 2048;

@@ -538,4 +538,12 @@ TEST_F(ThrowingErrors, FromConfigRejectsOutOfRangeValues)
         args.parseAssignment("disk.threshold_s=nan");
         EXPECT_THROW(SystemConfig::fromConfig(args), SimError);
     }
+    for (const char *key :
+         {"time_scale", "disk.retry.backoff_s", "disk.retry.multiplier",
+          "disk.fault.window_start_s", "disk.fault.window_end_s"}) {
+        Config args;
+        args.parseAssignment("disk.fault.enabled=true");
+        args.parseAssignment(std::string(key) + "=nan");
+        EXPECT_THROW(SystemConfig::fromConfig(args), SimError) << key;
+    }
 }

@@ -399,14 +399,12 @@ TEST(RunnerResilience, SpecFingerprintTracksConfigChanges)
         SPEC_EDIT(config.deadlineSeconds = 1.0),
         SPEC_EDIT(config.shutdownGraceSeconds = 1.0),
     };
-    // How a run is stored, not what it computes. The kernel's
-    // timeScale is a copy System::System overwrites from timeScale.
+    // How a run is stored, not what it computes.
     const SpecEdit neither[] = {
         SPEC_EDIT(durability = Durability::Full),
         SPEC_EDIT(checkpointEveryS = 0.001),
         SPEC_EDIT(checkpointPath = "x.ckpt"),
         SPEC_EDIT(restorePath = "y.ckpt"),
-        SPEC_EDIT(config.kernelParams.timeScale = 50.0),
     };
 
     // A spin-down disk and a power budget, so every edited config
