@@ -18,12 +18,16 @@ cannot move the host clock.
 
 A workload fails when either side's result line lacks "correct": true,
 or when the change is slower in at least SLOWER_PAIRS of the PAIRS
-pairs and its median exceeds the base median by more than the
-interquartile range of the base runs. Both conditions must hold, so
-one slow pair (a noisy neighbour) never fails the gate, and neither
-does a consistent slowdown smaller than the base's own spread. The
-script prints every pair and exits 1 if any workload fails; a run
-whose output has no `host wall_s per pass` line stops it at once.
+pairs and the median of the per-pair change/base ratios exceeds 1 by
+more than the interquartile range of those ratios. Both conditions
+must hold, so one slow pair (a noisy neighbour) never fails the gate,
+and neither does a consistent slowdown smaller than the pairs' own
+spread. The two runs of a pair are adjacent in time, so a change of
+the host's speed between pairs moves both and cancels in their ratio;
+a spread taken over all base runs would widen with that drift
+instead. The script prints every pair and exits 1 if any workload
+fails; a run whose output has no `host wall_s per pass` line stops it
+at once.
 
 Before the verdict line it prints where each tree's perfbench binary
 placed the reference kernel (`referenceWork` and its clones, read with
@@ -50,9 +54,11 @@ YARDSTICK = "referenceWork"
 BINARY = os.path.join(".bench_build", "perfbench", "perfbench")
 
 Run = collections.namedtuple("Run", "seconds correct")
-# reasons lists why the workload fails; it is empty when it passes.
+# ratio and iqr are the median and interquartile range of the per-pair
+# change/base ratios; reasons lists why the workload fails, and is
+# empty when it passes.
 Verdict = collections.namedtuple(
-    "Verdict", "base_median iqr change_median slower reasons")
+    "Verdict", "base_median change_median ratio iqr slower reasons")
 
 
 class GateError(Exception):
@@ -129,15 +135,17 @@ def judge(base, change):
         wrong = [i for i, run in enumerate(runs) if not run.correct]
         if wrong:
             reasons.append("%s not correct in pair(s) %s" % (side, wrong))
-    slower = sum(c.seconds > b.seconds for b, c in zip(base, change))
-    q1, base_median, q3 = quartiles([run.seconds for run in base])
-    change_median = statistics.median(run.seconds for run in change)
-    if slower >= SLOWER_PAIRS and change_median - base_median > q3 - q1:
+    ratios = [c.seconds / b.seconds for b, c in zip(base, change)]
+    slower = sum(ratio > 1 for ratio in ratios)
+    q1, ratio, q3 = quartiles(ratios)
+    if slower >= SLOWER_PAIRS and ratio - 1 > q3 - q1:
         reasons.append(
-            "change slower in %d/%d pairs and its median is %.4f s "
-            "above the base's, more than the base IQR %.4f s"
-            % (slower, len(base), change_median - base_median, q3 - q1))
-    return Verdict(base_median, q3 - q1, change_median, slower, reasons)
+            "change slower in %d/%d pairs and its median pair ratio "
+            "%.4f exceeds 1 by more than the ratios' IQR %.4f"
+            % (slower, len(base), ratio, q3 - q1))
+    return Verdict(statistics.median(run.seconds for run in base),
+                   statistics.median(run.seconds for run in change),
+                   ratio, q3 - q1, slower, reasons)
 
 
 def run_perfbench(tree, workload, seed):
@@ -195,13 +203,11 @@ def main(argv):
             print("perf_ab: FAIL: %s" % e, flush=True)
             return 1
         v = judge(base, change)
-        print("  base median %.4f s, IQR %.4f s (%.1f%% of median); "
-              "change median %.4f s (%+.1f%%), slower in %d/%d pairs: "
-              "%s" % (v.base_median, v.iqr, 100 * v.iqr / v.base_median,
-                      v.change_median,
-                      100 * (v.change_median / v.base_median - 1),
-                      v.slower, len(base),
-                      "FAIL" if v.reasons else "pass"), flush=True)
+        print("  base median %.4f s, change median %.4f s; pair ratio "
+              "median %.4f, IQR %.4f; slower in %d/%d pairs: %s"
+              % (v.base_median, v.change_median, v.ratio, v.iqr,
+                 v.slower, len(base), "FAIL" if v.reasons else "pass"),
+              flush=True)
         for reason in v.reasons:
             print("  FAIL: " + reason)
         if v.reasons:

@@ -18,6 +18,11 @@ import perf_ab  # noqa: E402
 # Ten base runs spread like same-binary mipsy-suite runs on a shared
 # 4-vCPU host: IQR about 11% of the median.
 BASE = [1.00, 1.10, 0.95, 1.05, 1.20, 0.90, 1.02, 1.08, 0.97, 1.15]
+# The same runs on a host that speeds up by 1.5x after pair 3, as one
+# parent-vs-parent run did: their IQR reads over 30% of the median.
+DRIFT = [t if i <= 3 else t / 1.5 for i, t in enumerate(BASE)]
+# Pair-to-pair noise of the change/base ratio, a few percent.
+NOISE = [1.00, 1.03, 0.98, 1.01, 0.97, 1.02, 0.99, 1.04, 0.96, 1.00]
 RESULT = '{"correct": %s, "attempted": 18, "failed": 0, "metrics": {}}'
 
 
@@ -35,11 +40,33 @@ class DecisionRule(unittest.TestCase):
         self.assertEqual(perf_ab.judge(runs(BASE), runs(change)).reasons,
                          [])
 
-    def test_consistent_slowdown_within_base_iqr_passes(self):
-        change = [t * 1.05 for t in BASE]
+    def test_consistent_slowdown_within_ratio_iqr_passes(self):
+        # Slower in every pair, by a median of 5.5%, but the pair
+        # ratios spread wider than that (IQR 9.25%).
+        ratios = [1.01, 1.02, 1.02, 1.03, 1.05, 1.06, 1.10, 1.12, 1.15,
+                  1.20]
+        change = [t * r for t, r in zip(BASE, ratios)]
         verdict = perf_ab.judge(runs(BASE), runs(change))
         self.assertEqual(verdict.slower, 10)
+        self.assertAlmostEqual(verdict.ratio, 1.055)
+        self.assertAlmostEqual(verdict.iqr, 0.0925)
         self.assertEqual(verdict.reasons, [])
+
+    def test_drifting_host_identical_sides_pass(self):
+        change = [t * n for t, n in zip(DRIFT, NOISE)]
+        self.assertEqual(perf_ab.judge(runs(DRIFT), runs(change)).reasons,
+                         [])
+
+    def test_drifting_host_slowdown_fails(self):
+        # The base runs' own IQR is over 30% of their median here, so
+        # a rule on it would let this 1.2x slowdown through.
+        change = [t * 1.2 * n for t, n in zip(DRIFT, NOISE)]
+        q1, median, q3 = perf_ab.quartiles(DRIFT)
+        self.assertGreater((q3 - q1) / median, 0.3)
+        verdict = perf_ab.judge(runs(DRIFT), runs(change))
+        self.assertEqual(verdict.slower, 10)
+        self.assertEqual(len(verdict.reasons), 1)
+        self.assertIn("slower in 10/10 pairs", verdict.reasons[0])
 
     def test_consistent_slowdown_fails(self):
         change = [t * 1.3 for t in BASE]
