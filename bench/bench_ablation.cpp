@@ -30,7 +30,7 @@ main(int argc, char **argv)
     Config &args = cli.config;
     double scale = args.getDouble("scale", 0.1);
     ExperimentSpec spec = ExperimentSpec::fromArgs("ablation", args);
-    SystemConfig ff_config = SystemConfig::fromConfig(args);
+    SystemConfig ff_config = SystemConfig::fromArgs(args);
     SystemConfig detailed_config = ff_config;
     detailed_config.idleFastForwardAfter =
         ~Cycles(0) / 2;  // effectively never fast-forward

@@ -289,8 +289,7 @@ restoreWithFallback(const std::string &path)
     for (const std::string &candidate :
          {path, checkpointPreviousGeneration(path)}) {
         try {
-            CheckpointImage image =
-                readCheckpoint(candidate, checkpointLogPath(path));
+            CheckpointImage image = readCheckpoint(candidate);
             return {slurp(candidate),
                     std::string(image.log.begin(), image.log.end())};
         } catch (const CheckpointError &) {

@@ -33,7 +33,7 @@ main(int argc, char **argv)
     double scale = args.getDouble("scale", 0.3);
     ExperimentSpec spec =
         ExperimentSpec::fromArgs("extensions", args);
-    SystemConfig busy_cfg = SystemConfig::fromConfig(args);
+    SystemConfig busy_cfg = SystemConfig::fromArgs(args);
     SystemConfig halt_cfg = busy_cfg;
     halt_cfg.kernelParams.haltOnIdle = true;
     spec.addSuite(busy_cfg, scale, "busy");

@@ -102,7 +102,7 @@ main(int argc, char **argv)
     // other benchmarks — select with bench=<name>.
     std::string bench_name = args.getString("bench", "jess");
     ExperimentSpec spec = ExperimentSpec::fromArgs("fig34", args);
-    SystemConfig config = SystemConfig::fromConfig(args);
+    SystemConfig config = SystemConfig::fromArgs(args);
     Benchmark bench = benchmarkByName(bench_name);
     config.sampleWindow = sample_window;
     config.cpuModel = CpuModel::InOrder;

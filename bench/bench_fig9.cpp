@@ -44,7 +44,7 @@ main(int argc, char **argv)
     // its two gaps exceed 9 paper-equivalent seconds.
     double mtrt_scale = args.getDouble("mtrt_scale", 2.4);
     ExperimentSpec spec = ExperimentSpec::fromArgs("fig9", args);
-    SystemConfig base = SystemConfig::fromConfig(args);
+    SystemConfig base = SystemConfig::fromArgs(args);
 
     struct ConfigRow
     {

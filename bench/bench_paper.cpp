@@ -255,7 +255,7 @@ main(int argc, char **argv)
     Config &args = cli.config;
     double scale = args.getDouble("scale", 0.5);
     ExperimentSpec spec = ExperimentSpec::fromArgs("paper", args);
-    SystemConfig config = SystemConfig::fromConfig(args);
+    SystemConfig config = SystemConfig::fromArgs(args);
     spec.addSuite(config, scale);
     config.cpuModel = CpuModel::InOrder;
     spec.addSuite(config, scale, "inorder");

@@ -63,7 +63,7 @@ main(int argc, char **argv)
     ExperimentSpec spec = ExperimentSpec::fromArgs("pareto", args);
     Benchmark bench = benchmarkByName(bench_name);
 
-    SystemConfig base_config = SystemConfig::fromConfig(args);
+    SystemConfig base_config = SystemConfig::fromArgs(args);
     spec.add(bench, base_config, scale, "unconstrained");
     for (double budget : budgets) {
         SystemConfig config = base_config;

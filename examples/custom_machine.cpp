@@ -57,7 +57,7 @@ main(int argc, char **argv)
     // neither this harness nor the runner has read. If the user gave
     // none, use a narrower low-cost design as the demo.
     bool customized = !args.unusedKeys().empty();
-    SystemConfig custom_config = SystemConfig::fromConfig(args);
+    SystemConfig custom_config = SystemConfig::fromArgs(args);
     if (!customized) {
         custom_config.machine.icache.sizeBytes = 16 * 1024;
         custom_config.machine.dcache.sizeBytes = 16 * 1024;

@@ -36,7 +36,7 @@ main(int argc, char **argv)
     ExperimentSpec spec =
         ExperimentSpec::fromArgs("disk-policy", args);
     Benchmark bench = benchmarkByName(bench_name);
-    SystemConfig base_config = SystemConfig::fromConfig(args);
+    SystemConfig base_config = SystemConfig::fromArgs(args);
 
     // Each run sets only the disk policy, so disk.fault.* keys apply
     // to every run.

@@ -49,7 +49,7 @@ main(int argc, char **argv)
     ExperimentSpec spec =
         ExperimentSpec::fromArgs("fault-sweep", args);
     Benchmark bench = benchmarkByName(bench_name);
-    SystemConfig base_config = SystemConfig::fromConfig(args);
+    SystemConfig base_config = SystemConfig::fromArgs(args);
     for (const Policy &policy : policies) {
         for (double rate : rates) {
             SystemConfig config = base_config;

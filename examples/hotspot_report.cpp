@@ -30,7 +30,7 @@ main(int argc, char **argv)
     double scale = args.getDouble("scale", 0.5);
     ExperimentSpec spec =
         ExperimentSpec::fromArgs("hotspot-report", args);
-    SystemConfig config = SystemConfig::fromConfig(args);
+    SystemConfig config = SystemConfig::fromArgs(args);
     spec.add(benchmarkByName(bench_name), config, scale);
 
     ExperimentResult result = runExperiment(spec);

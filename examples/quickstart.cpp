@@ -23,13 +23,13 @@ main(int argc, char **argv)
     if (cli.shouldExit)
         return cli.exitCode;
     Config &args = cli.config;
-    // Read the harness's own keys before fromConfig so its
+    // Read the harness's own keys before fromArgs so its
     // unused-key check doesn't flag them.
     std::string bench_name = args.getString("bench", "jess");
     double scale = args.getDouble("scale", 0.2);
     std::string csv_path = args.getString("log_csv", "");
     ExperimentSpec spec = ExperimentSpec::fromArgs("quickstart", args);
-    SystemConfig config = SystemConfig::fromConfig(args);
+    SystemConfig config = SystemConfig::fromArgs(args);
     spec.add(benchmarkByName(bench_name), config, scale);
 
     std::cout << "Running " << bench_name << " (scale " << scale

@@ -86,12 +86,18 @@ SystemConfig::fromConfig(const Config &config)
         config.getBool("adaptive_spindown", sc.adaptiveSpindown);
 
     sc.validate();
+    return sc;
+}
 
+SystemConfig
+SystemConfig::fromArgs(const Config &args)
+{
+    SystemConfig sc = fromConfig(args);
     // A set-but-never-read key is almost always a typo (the store
     // is schema-less, so a misspelt override silently changes
-    // nothing). Keys the caller reads before or after this call are
-    // marked used and not reported.
-    for (const std::string &key : config.unusedKeys()) {
+    // nothing). Keys the caller read before this call are marked
+    // used and not reported.
+    for (const std::string &key : args.unusedKeys()) {
         warn(msg() << "config key '" << key
                    << "' was never read by any consumer; "
                    << "possible typo?");
@@ -926,7 +932,7 @@ System::restoreCheckpoint(const std::string &path)
     if (!have_image) {
         source = checkpointPreviousGeneration(path);
         try {
-            image = readCheckpoint(source, checkpointLogPath(path));
+            image = readCheckpoint(source);
             checkCheckpointCompatible(image, source);
             have_image = true;
         } catch (const CheckpointMismatch &err) {

@@ -111,13 +111,17 @@ struct SystemConfig
      */
     double shutdownGraceSeconds = 0.0;
 
-    /**
-     * Build from a generic key=value Config. Validates ranges and
-     * warns about keys nobody read (likely typos) — harnesses should
-     * read their own keys (bench, scale, ...) *before* calling this
-     * so they are not flagged.
-     */
+    /** Build from a generic key=value Config and validate ranges. */
     static SystemConfig fromConfig(const Config &config);
+
+    /**
+     * fromConfig() for a harness's command line: also warns about
+     * each key nobody read (likely a typo) — harnesses should read
+     * their own keys (bench, scale, ...) *before* calling this so
+     * they are not flagged. A serve spec reports such keys to its
+     * client instead.
+     */
+    static SystemConfig fromArgs(const Config &args);
 
     /**
      * Fatal on out-of-range values (non-positive timeScale, zero

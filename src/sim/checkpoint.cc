@@ -290,12 +290,6 @@ CheckpointWriter::closeChunk(std::size_t framing)
 namespace
 {
 
-std::string_view
-bytesOf(const std::uint8_t *data, std::size_t size)
-{
-    return std::string_view(reinterpret_cast<const char *>(data), size);
-}
-
 [[noreturn]] void
 cannotWrite(const std::string &path, const IoStatus &status)
 {
@@ -326,8 +320,9 @@ CheckpointWriter::writeLog(const std::string &path,
         HostFile out;
         status = out.open(log_path, false, durability);
         if (status)
-            status = out.write(
-                bytesOf(log.data() + logged, log.size() - logged));
+            status = out.write(std::string_view(
+                reinterpret_cast<const char *>(log.data()) + logged,
+                log.size() - logged));
         if (status && durability == Durability::Full)
             status = out.sync();
     } else {
@@ -336,8 +331,8 @@ CheckpointWriter::writeLog(const std::string &path,
         // and the parent directory afterwards, so a power cut can
         // never leave a zero-length or torn file under the final
         // name.
-        status = hostWriteFileAtomic(
-            log_path, bytesOf(log.data(), log.size()), durability);
+        status = hostWriteFileAtomic(log_path, log.data(), log.size(),
+                                     durability);
     }
     if (!status)
         cannotWrite(log_path, status);
@@ -354,8 +349,8 @@ CheckpointWriter::writeImage(const std::string &path,
     file.overwriteLe(logRefAt, log.size(), 8);
     file.overwriteLe(logRefAt + 8, log_checksum, 8);
     const std::vector<std::uint8_t> &bytes = file.bytes();
-    IoStatus status = hostWriteFileAtomic(
-        path, bytesOf(bytes.data(), bytes.size()), durability);
+    IoStatus status = hostWriteFileAtomic(path, bytes.data(), bytes.size(),
+                                          durability);
     if (!status)
         cannotWrite(path, status);
 }
@@ -449,23 +444,37 @@ autosaveCheckpoint(const std::string &path,
         durability);
 }
 
-CheckpointImage
-readCheckpoint(const std::string &path)
+namespace
 {
-    // A rotated generation has no log of its own: it uses its base's.
-    std::string log_path = checkpointLogPath(path);
-    const std::string rotated = checkpointPreviousGeneration("");
-    if (!hostFileExists(log_path) && path.size() > rotated.size() &&
-        path.compare(path.size() - rotated.size(), rotated.size(),
-                     rotated) == 0) {
-        log_path = checkpointLogPath(
-            path.substr(0, path.size() - rotated.size()));
+
+/**
+ * The next @p length bytes at @p cursor, once they match @p checksum:
+ * the payload of chunk @p name of the checkpoint at @p path.
+ */
+const std::uint8_t *
+verifiedPayload(FileCursor &cursor, std::uint64_t length,
+                std::uint64_t checksum, const std::string &path,
+                const std::string &name)
+{
+    if (length > maxChunkBytes) {
+        throw CheckpointError(
+            msg() << "checkpoint '" << path << "': implausible "
+                  << "payload length " << length << " in chunk '"
+                  << name << "'");
     }
-    return readCheckpoint(path, log_path);
+    const std::uint8_t *payload = cursor.raw(length);
+    if (checksum64(payload, length) != checksum) {
+        throw CheckpointError(
+            msg() << "checkpoint '" << path << "': checksum "
+                  << "mismatch in chunk '" << name << "'");
+    }
+    return payload;
 }
 
+} // namespace
+
 CheckpointImage
-readCheckpoint(const std::string &path, const std::string &log_path)
+readCheckpoint(const std::string &path)
 {
     std::vector<std::uint8_t> bytes = readFileBytes(path);
     FileCursor cursor(bytes, path);
@@ -507,19 +516,9 @@ readCheckpoint(const std::string &path, const std::string &log_path)
             reinterpret_cast<const char *>(cursor.raw(name_len)),
             name_len);
         std::uint64_t payload_len = cursor.le(8);
-        if (payload_len > maxChunkBytes) {
-            throw CheckpointError(
-                msg() << "checkpoint '" << path << "': implausible "
-                      << "payload length " << payload_len
-                      << " in chunk '" << chunk.name << "'");
-        }
         std::uint64_t checksum = cursor.le(8);
-        const std::uint8_t *payload = cursor.raw(payload_len);
-        if (checksum64(payload, payload_len) != checksum) {
-            throw CheckpointError(
-                msg() << "checkpoint '" << path << "': checksum "
-                      << "mismatch in chunk '" << chunk.name << "'");
-        }
+        const std::uint8_t *payload = verifiedPayload(
+            cursor, payload_len, checksum, path, chunk.name);
         chunk.payload.assign(payload, payload + payload_len);
         image.chunks.push_back(std::move(chunk));
     }
@@ -530,21 +529,22 @@ readCheckpoint(const std::string &path, const std::string &log_path)
                               << "chunk");
     }
 
-    // Only the prefix this image uses: what the log holds past it
-    // belongs to newer images, or to none.
+    // Only the prefix this image uses, checked as a chunk is: what
+    // the log holds past it belongs to newer images, or to none. A
+    // rotated generation "<base>.1" without a log of its own shares
+    // its base's.
     if (log_bytes > 0) {
-        if (log_bytes > maxChunkBytes) {
-            throw CheckpointError(msg() << "checkpoint '" << path
-                                        << "': implausible log length "
-                                        << log_bytes);
+        std::string log_path = checkpointLogPath(path);
+        const std::string rotated = checkpointPreviousGeneration("");
+        if (!hostFileExists(log_path) && path.size() > rotated.size() &&
+            path.compare(path.size() - rotated.size(), rotated.size(),
+                         rotated) == 0) {
+            log_path = checkpointLogPath(
+                path.substr(0, path.size() - rotated.size()));
         }
         image.log = readFileBytes(log_path, log_bytes);
         FileCursor log(image.log, log_path);
-        if (checksum64(log.raw(log_bytes), log_bytes) != log_checksum) {
-            throw CheckpointError(msg() << "checkpoint '" << log_path
-                                        << "': checksum mismatch in "
-                                        << "the log prefix");
-        }
+        verifiedPayload(log, log_bytes, log_checksum, path, log_path);
     }
     return image;
 }

@@ -439,18 +439,13 @@ std::string checkpointPreviousGeneration(const std::string &path);
 
 /**
  * Parse and fully verify a checkpoint file: magic, version, chunk
- * framing and every payload checksum, then read the log prefix the
- * header records from @p log_path and verify its length and checksum.
+ * framing and every payload checksum, then the prefix of the log the
+ * header records, read from checkpointLogPath(@p path) (for a rotated
+ * generation "<base>.1" without a log of its own, from the log it
+ * shares, checkpointLogPath("<base>")) and checked as a chunk is: a
+ * short log is truncation, a damaged prefix a checksum mismatch.
  * Throws CheckpointMismatch on an unsupported version and
  * CheckpointError on any damage, the log's included.
- */
-CheckpointImage readCheckpoint(const std::string &path,
-                               const std::string &log_path);
-
-/**
- * readCheckpoint(@p path, checkpointLogPath(@p path)); for a rotated
- * generation "<base>.1" without a log of its own, the log it shares,
- * checkpointLogPath("<base>").
  */
 CheckpointImage readCheckpoint(const std::string &path);
 

@@ -365,14 +365,15 @@ HostFile::close()
 }
 
 IoStatus
-hostWriteFileAtomic(const std::string &path, std::string_view bytes,
-                    Durability durability)
+hostWriteFileAtomic(const std::string &path, const std::uint8_t *data,
+                    std::size_t size, Durability durability)
 {
     std::string tmp = path + ".tmp";
     HostFile file;
     IoStatus st = file.open(tmp, true, durability);
     if (st)
-        st = file.write(bytes);
+        st = file.write(
+            std::string_view(reinterpret_cast<const char *>(data), size));
     if (st && durability == Durability::Full)
         st = file.sync();
     file.close();
@@ -384,6 +385,15 @@ hostWriteFileAtomic(const std::string &path, std::string_view bytes,
     if (!st)
         hostRemoveBestEffort(tmp);
     return st;
+}
+
+IoStatus
+hostWriteFileAtomic(const std::string &path, const std::string &bytes,
+                    Durability durability)
+{
+    return hostWriteFileAtomic(
+        path, reinterpret_cast<const std::uint8_t *>(bytes.data()),
+        bytes.size(), durability);
 }
 
 IoStatus

@@ -178,7 +178,8 @@ class HostIo
 
     friend class HostFile;
     friend IoStatus hostWriteFileAtomic(const std::string &,
-                                        std::string_view, Durability);
+                                        const std::uint8_t *,
+                                        std::size_t, Durability);
     friend IoStatus hostRename(const std::string &,
                                const std::string &, Durability);
     friend IoStatus hostRemove(const std::string &);
@@ -277,14 +278,20 @@ class HostFile
 };
 
 /**
- * Write @p bytes to @p path atomically via "<path>.tmp" + rename.
- * Under Durability::Full the temp file is fsynced before the rename
- * and the parent directory after it. On failure the temp file is
- * cleaned up best-effort and @p path is untouched (or still holds
- * its previous complete contents).
+ * Write the @p size bytes at @p data to @p path atomically via
+ * "<path>.tmp" + rename, straight from the caller's buffer. Under
+ * Durability::Full the temp file is fsynced before the rename and
+ * the parent directory after it. On failure the temp file is cleaned
+ * up best-effort and @p path is untouched (or still holds its
+ * previous complete contents).
  */
 IoStatus hostWriteFileAtomic(const std::string &path,
-                             std::string_view bytes,
+                             const std::uint8_t *data, std::size_t size,
+                             Durability durability);
+
+/** hostWriteFileAtomic of the bytes of @p bytes. */
+IoStatus hostWriteFileAtomic(const std::string &path,
+                             const std::string &bytes,
                              Durability durability);
 
 /** Atomic rename; under Durability::Full the destination's parent

@@ -1,5 +1,6 @@
 #include "sample_log.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 #include <istream>
@@ -248,29 +249,24 @@ void
 SampleLog::loadState(ChunkReader &in, const std::vector<std::uint8_t> &log)
 {
     std::uint64_t count = in.u64();
-    // Checked before any allocation: a damaged count must fail as
-    // checkpoint damage, not as an allocation failure.
-    if (count > log.size() / minRecordBytes) {
-        throw CheckpointError(msg() << "sample log claims " << count
-                                    << " windows but its log holds "
-                                    << log.size() << " bytes");
-    }
-    // Every window is checked in place before the log changes; the
-    // bytes are then kept as they are.
+    // Every window is checked in place before the log changes, and
+    // the log must hold exactly count of them; the bytes are then
+    // kept as they are. The reservation is bounded by what the log
+    // can hold, so a damaged count fails as checkpoint damage, not
+    // as an allocation failure.
     const std::uint8_t *begin = log.data();
     const std::uint8_t *end = begin + log.size();
     std::vector<std::size_t> starts;
-    starts.reserve(count);
-    const std::uint8_t *at = begin;
-    for (std::uint64_t i = 0; i < count; ++i) {
+    starts.reserve(std::min<std::uint64_t>(count,
+                                           log.size() / minRecordBytes));
+    for (const std::uint8_t *at = begin; at != end;) {
         starts.push_back(std::size_t(at - begin));
-        at = checkedWindowEnd(at, end, i);
+        at = checkedWindowEnd(at, end, starts.size() - 1);
     }
-    if (at != end) {
-        throw CheckpointError(msg() << "sample log holds " << count
-                                    << " windows but its log has "
-                                    << (end - at)
-                                    << " bytes past them");
+    if (starts.size() != count) {
+        throw CheckpointError(msg() << "sample log claims " << count
+                                    << " windows but its log holds "
+                                    << starts.size());
     }
     windows = ChunkWriter();
     windows.raw(begin, log.size());

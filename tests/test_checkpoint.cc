@@ -597,9 +597,9 @@ TEST(CheckpointAutosave, EachAutosaveWritesOnlyTheNewWindows)
     // Every recorded image must verify against the final log, so
     // each one's prefix is a prefix of it.
     const std::vector<std::uint8_t> &windows = sys.log().encoded();
-    const std::string final_log = scratch("constant-cost.final.log");
-    writeBytes(final_log, windows);
     const std::string image_file = scratch("constant-cost.image");
+    const std::string final_log = checkpointLogPath(image_file);
+    writeBytes(final_log, windows);
 
     std::string image_tmp = path + ".tmp";
     std::vector<CheckpointImage> images;
@@ -615,7 +615,7 @@ TEST(CheckpointAutosave, EachAutosaveWritesOnlyTheNewWindows)
         }
         writeBytes(image_file, std::vector<std::uint8_t>(
                                    op.data.begin(), op.data.end()));
-        images.push_back(readCheckpoint(image_file, final_log));
+        images.push_back(readCheckpoint(image_file));
         image_bytes.push_back(op.data.size());
         // Exactly the encoded windows closed since the last autosave.
         std::size_t now = images.back().log.size();
@@ -828,7 +828,7 @@ TEST(CheckpointLoadChecks, SampleLogCountBeyondPayloadIsDamage)
     } cases[] = {
         {std::uint64_t(1) << 60, "sample log claims"},
         {std::uint64_t(1) << 40, "sample log claims"},
-        {1, "bytes past them"},
+        {1, "sample log claims 1 windows but its log holds"},
     };
     for (const auto &c : cases) {
         ChunkWriter log;

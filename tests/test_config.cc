@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/system.hh"
 #include "sim/config.hh"
 #include "sim/logging.hh"
@@ -100,6 +102,24 @@ TEST(Config, UnusedKeysReportsNeverReadKeys)
     auto unused = c.unusedKeys();
     ASSERT_EQ(unused.size(), 1u);
     EXPECT_EQ(unused[0], "cahe.sise");
+}
+
+TEST(Config, OnlyTheCommandLineWarnsAboutUnreadKeys)
+{
+    // A serve spec reports unread keys to its client; only a
+    // harness's command line warns about them, once per key.
+    Config c;
+    c.set("nonsense_key", std::int64_t(1));
+    testing::internal::CaptureStderr();
+    (void)SystemConfig::fromConfig(c);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    testing::internal::CaptureStderr();
+    (void)SystemConfig::fromArgs(c);
+    std::string err = testing::internal::GetCapturedStderr();
+    std::string line = "warn: config key 'nonsense_key'";
+    std::size_t at = err.find(line);
+    ASSERT_NE(at, std::string::npos) << err;
+    EXPECT_EQ(err.find(line, at + 1), std::string::npos) << err;
 }
 
 TEST(Config, ReadOfAbsentKeyCountsAsUsedOnceSet)

@@ -219,7 +219,7 @@ TEST(SampleLog, LoadStateRefusesWhatTheDecoderRefused)
         {bad_mode, "execution mode 4 out of range"},
         {truncated, "window 1 is truncated"},
         {cut_in_zeros, "window 1 is truncated"},
-        {trailing, "1 bytes past them"},
+        {trailing, "window 2 is truncated"},
     };
     for (const auto &c : cases) {
         SampleLog log;

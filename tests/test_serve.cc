@@ -911,12 +911,17 @@ TEST_F(ServeDirTest, ServerAnswersJournalsAndReplaysAcrossRestart)
         EXPECT_EQ(response.status, "bad-request");
 
         // A run whose spec cannot parse is rejected, not executed.
+        // Its unknown key goes back to the client, and only there.
         request.id = "job-3";
         request.spec = "bench=jess nonsense_key=1";
+        testing::internal::CaptureStderr();
         ASSERT_TRUE(client.call(request, response, error)) << error;
+        std::string daemon_err = testing::internal::GetCapturedStderr();
         EXPECT_EQ(response.status, "bad-request");
         EXPECT_NE(response.error.find("nonsense_key"),
                   std::string::npos);
+        EXPECT_EQ(daemon_err.find("warn: config key"), std::string::npos)
+            << daemon_err;
 
         EXPECT_EQ(server.executedJobs(), 2u);
         EXPECT_EQ(server.journalHits(), 2u);
